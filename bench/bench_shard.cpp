@@ -1,17 +1,16 @@
 // Sharded pipeline — K-shard SFC domain decomposition with local
 // essential trees (DESIGN.md, "Sharding & local essential trees").
 //
-// Runs the M31 workload through ShardedSimulation for K in {1, 2, 4} on
+// Runs the M31 workload through Simulation over K in {1, 2, 4} shards on
 // a fixed rebuild cadence and reports per-shard busy time, the
 // cross-shard imbalance ratio (busiest shard / mean shard), and the LET
 // traffic (exported cells and spilled bodies per step). Every K is
-// compared bit-for-bit against the single-device Simulation reference —
+// compared bit-for-bit against the ambient-device Simulation reference —
 // the sharding contract says only *where* kernels run changes, never
 // what they compute.
 #include "support/experiment.hpp"
 #include "support/report.hpp"
 
-#include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
 #include "util/timer.hpp"
 
@@ -79,7 +78,7 @@ int main() {
   for (const int shards : {1, 2, 4}) {
     nbody::ShardOptions opt;
     opt.shards = shards;
-    nbody::ShardedSimulation sim(m31_workload(scale.n), shard_config(), opt);
+    nbody::Simulation sim(m31_workload(scale.n), shard_config(), opt);
 
     double busy_max = 0.0, busy_mean = 0.0, imb_sum = 0.0;
     std::uint64_t let_cells = 0, let_bodies = 0;

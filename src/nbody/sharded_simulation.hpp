@@ -1,226 +1,17 @@
-// ShardedSimulation: the GOTHIC step loop decomposed over K per-shard
-// runtime::Devices with SFC domain decomposition and local essential
-// trees (DESIGN.md, "Sharding & local essential trees").
-//
-// Each shard owns a contiguous range of the SFC-sorted bodies (split at
-// walk-group granularity, weighted by measured per-group walk cost) and
-// a runtime::Device with its own worker pool, streams and arenas. Per
-// step, every shard predicts its slice, summarises its owned tree nodes,
-// imports the local essential tree each remote shard's MAC can reach,
-// walks its own groups over a NaN-poisoned tree view, and corrects its
-// slice — all launch-level concurrent across devices, with host-side
-// event waits at the three cross-shard joins (permute, top summarise,
-// LET exchange).
-//
-// Contract: results are bit-identical to the single-device Simulation
-// for any shard count, worker count, scheduler mode and schedule seed —
-// every kernel computes exactly what its unsharded counterpart computes,
-// only *where* it runs changes. The LET import set is conservative and
-// everything outside it is NaN-poisoned, so an insufficiency would
-// surface as NaN accelerations in the bit-identity oracle, never as a
-// silently wrong force.
+// ShardedSimulation: a Simulation that owns its K shard devices, under the
+// name the benchmark driver (perfbench/) constructs (DESIGN.md, "Sharding &
+// local essential trees"). It adds constructors only — the step DAG, state
+// and accessors are Simulation's.
 #pragma once
 
-#include "gravity/let.hpp"
 #include "nbody/simulation.hpp"
-#include "octree/partition.hpp"
-
-#include <memory>
 
 namespace gothic::nbody {
 
-/// Device shape of a sharded run. `shards` is K; the remaining knobs are
-/// forwarded to each shard's runtime::Device constructor (0 / -1 = that
-/// device's environment defaults, GOTHIC_THREADS / GOTHIC_ASYNC /
-/// GOTHIC_ASYNC_LANES).
-struct ShardOptions {
-  int shards = 1;
-  int workers = 0;
-  int async = -1;
-  int lanes = 0;
-};
-
-/// Per-shard observability of the most recent step.
-struct ShardStepStats {
-  /// Summed launch-body seconds per shard (the shard's busy time).
-  std::vector<double> busy_seconds;
-  /// LET cells / bodies imported into each shard this step (all sources).
-  std::vector<std::uint64_t> let_cells;
-  std::vector<std::uint64_t> let_bodies;
-  double busy_max = 0.0;
-  double busy_mean = 0.0;
-  std::uint64_t let_cells_total = 0;
-  std::uint64_t let_bodies_total = 0;
-
-  /// Cross-shard busy-time imbalance: max/mean, 1 = perfect balance.
-  [[nodiscard]] double imbalance() const {
-    return busy_mean > 0.0 ? busy_max / busy_mean : 0.0;
-  }
-};
-
-class ShardedSimulation {
+class ShardedSimulation : public Simulation {
 public:
-  /// Same contract as Simulation's constructor; the bootstrap (initial
-  /// build + opening-angle force evaluation) runs on shard 0's device and
-  /// seeds the cost-weighted partition from the bootstrap walk's measured
-  /// per-group costs.
-  ShardedSimulation(Particles particles, SimConfig cfg, ShardOptions opt = {});
-  ~ShardedSimulation();
-
-  ShardedSimulation(const ShardedSimulation&) = delete;
-  ShardedSimulation& operator=(const ShardedSimulation&) = delete;
-
-  /// Advance one block step. Report fields match Simulation::step(); the
-  /// MakeTree bucket additionally contains the letImport launches.
-  StepReport step();
-  void run(int n);
-
-  /// Recompute forces/potentials of all particles at the current state
-  /// (diagnostics; runs unsharded on shard 0 — bit-identical to the
-  /// sharded walk by the LET contract, and to Simulation::refresh_forces).
-  void refresh_forces();
-
-  [[nodiscard]] const Particles& particles() const { return particles_; }
-  [[nodiscard]] Particles& particles() { return particles_; }
-  [[nodiscard]] const octree::Octree& tree() const { return tree_; }
-  [[nodiscard]] const SimConfig& config() const { return cfg_; }
-  [[nodiscard]] double time() const { return steps_.time(); }
-  [[nodiscard]] const KernelTimers& timers() const { return timers_; }
-  [[nodiscard]] const RebuildPolicy& rebuild_policy() const { return policy_; }
-  [[nodiscard]] int rebuild_count() const { return rebuilds_; }
-  [[nodiscard]] int step_count() const { return step_count_; }
-  [[nodiscard]] int shard_count() const {
-    return static_cast<int>(shards_.size());
-  }
-
-  /// Accumulated per-kernel instruction counts since construction.
-  [[nodiscard]] const simt::OpCounts& kernel_ops(Kernel k) const {
-    return ops_[static_cast<std::size_t>(k)];
-  }
-
-  /// Shard s's device — for tests installing schedule/fault controllers
-  /// and for trace finalisation.
-  [[nodiscard]] runtime::Device& shard_device(int s);
-
-  /// Shard s's instrumentation sink (records span the most recent phase).
-  [[nodiscard]] const runtime::InstrumentationSink& shard_sink(int s) const;
-
-  /// Per-shard busy time and LET traffic of the most recent step().
-  [[nodiscard]] const ShardStepStats& last_shard_stats() const {
-    return last_stats_;
-  }
-
-  /// K+1 body boundaries of the current partition (SFC order).
-  [[nodiscard]] const std::vector<index_t>& body_bounds() const {
-    return body_bounds_;
-  }
-  /// K+1 walk-group boundaries of the current partition.
-  [[nodiscard]] const std::vector<std::size_t>& group_bounds() const {
-    return group_bounds_;
-  }
-
-  /// Attach an observability hook. Unlike Simulation, records are
-  /// forwarded serially after each step completes (per-shard sinks fill
-  /// concurrently during the step); per-record timestamps are in the
-  /// *issuing shard's* device epoch, so cross-shard timestamp skew is
-  /// expected in traces. When the flight recorder is enabled
-  /// (GOTHIC_FLIGHT) it stays at the head of the chain and forwards to
-  /// `l`.
-  void set_instrumentation_listener(runtime::RecordListener* l) {
-    if (flight_) {
-      flight_->set_next(l);
-    } else {
-      listener_ = l;
-    }
-  }
-
-  /// The GOTHIC_FLIGHT incident recorder; null when the env var is unset.
-  /// step() dumps it on both error paths (host-issue failure after the
-  /// drain, and the post-join first-error rethrow), backfilling the shard
-  /// sinks' records first — an aborted step's launches never reached the
-  /// listener chain.
-  [[nodiscard]] trace::FlightRecorder* flight_recorder() {
-    return flight_.get();
-  }
-
-  [[nodiscard]] Energies energies() const {
-    return compute_energies(particles_);
-  }
-  [[nodiscard]] Momenta momenta() const { return compute_momenta(particles_); }
-
-private:
-  struct Shard;
-
-  runtime::Event launch_build();
-  runtime::Event launch_permute(bool with_pred);
-  void bootstrap_forces();
-  void permute_scratch(std::vector<real>& v);
-  void permute_cost();
-  /// Recompute the partition (group/body boundaries, owned/top node
-  /// ranges, per-shard views and cost slices) from group_cost_. Called
-  /// after every rebuild's permute join.
-  void refresh_partition();
-  /// Copy cell geometry / body positions into shard `sh`'s poisoned view
-  /// (the body of the letImport launch, running on sh's device).
-  void let_import(Shard& sh);
-  /// Fold a shard's phase records into timers_/ops_ (no listener).
-  void absorb_records(const Shard& sh);
-  /// Error-path incident dump: backfill every shard sink's step records
-  /// into the flight recorder (they never reached the listener chain) and
-  /// dump with `reason`. No-op when GOTHIC_FLIGHT is unset.
-  void dump_flight(const std::string& reason);
-  /// Sum of makeTree/makeTree(permute) record seconds of shard 0's
-  /// current phase (excludes letImport, which shares Kernel::MakeTree).
-  [[nodiscard]] double step_make_seconds() const;
-  /// Scatter group_cost_ back to per-body costs (uniform within a group).
-  void scatter_body_cost();
-
-  Particles particles_;
-  SimConfig cfg_;
-  octree::Octree tree_;
-  BlockTimeSteps steps_;
-  RebuildPolicy policy_;
-  int rebuilds_ = 0;
-  int step_count_ = 0;
-  int steps_since_rebuild_ = 0;
-
-  // Scratch (predicted positions, fresh accelerations) — global arrays;
-  // shards write disjoint slices / group slots.
-  std::vector<real> px_, py_, pz_;
-  std::vector<real> nax_, nay_, naz_, npot_;
-  std::vector<index_t> perm_;
-  std::vector<real> permute_buf_;
-  std::vector<double> cost_buf_;
-
-  /// Global walk-group decomposition and per-step activity (identical to
-  /// Simulation's; shards take contiguous sub-spans).
-  std::vector<gravity::GroupSpan> groups_;
-  std::vector<std::uint8_t> group_active_;
-  /// Measured per-group walk cost (deterministic interaction + MAC
-  /// counts) and its per-body scatter, carried across rebuilds so the
-  /// partition tracks cost through reorderings.
-  std::vector<double> group_cost_;
-  std::vector<double> body_cost_;
-
-  // Partition state (refreshed each rebuild).
-  std::vector<index_t> body_bounds_;
-  std::vector<std::size_t> group_bounds_;
-  std::vector<octree::NodeRange> top_;
-  std::vector<gravity::LetRange> top_leaf_;
-  std::size_t top_count_ = 0;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Aggregated observability (shard sinks are per-device; these fold
-  // them into the Simulation-compatible accessors).
-  KernelTimers timers_;
-  std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops_{};
-  /// Head of the listener chain: the flight recorder when GOTHIC_FLIGHT
-  /// is set (user listeners chain behind it via set_next), otherwise the
-  /// user's listener directly.
-  std::unique_ptr<trace::FlightRecorder> flight_;
-  runtime::RecordListener* listener_ = nullptr;
-  ShardStepStats last_stats_;
+  ShardedSimulation(Particles particles, SimConfig cfg, ShardOptions opt = {})
+      : Simulation(std::move(particles), std::move(cfg), opt) {}
 };
 
 } // namespace gothic::nbody

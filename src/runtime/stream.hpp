@@ -123,8 +123,8 @@ struct StepMark {
   /// the step's tree walk; 0 when the step recorded no walk timing.
   double walk_imbalance = 0.0;
 
-  // Sharded-pipeline fields (ShardedSimulation; all 0 for a plain
-  // Simulation step).
+  // Sharded-pipeline fields (a Simulation owning its shard devices; all 0
+  // for a step on the ambient device).
   int shards = 0;               ///< shard count (0 = unsharded step)
   double shard_busy_max = 0.0;  ///< busiest shard's summed launch seconds
   double shard_busy_mean = 0.0; ///< mean per-shard summed launch seconds
@@ -149,12 +149,12 @@ struct StepMark {
 };
 
 /// Observer of the instrumentation stream — the hook the trace/metrics
-/// layer attaches to. The sink invokes on_record() for every launch whose
-/// timing completed, and Simulation::step() invokes on_step() once per
-/// step. on_record() runs under the issuing device's launch lock: keep it
-/// short, never call back into the device. A null listener costs one
-/// pointer test per launch, so instrumentation consumers add zero overhead
-/// when detached.
+/// layer attaches to. A sink invokes on_record() for every launch whose
+/// timing completed, under the issuing device's launch lock: keep it
+/// short, never call back into the device. Simulation::step() instead
+/// forwards its step's records serially once the step joined, then
+/// invokes on_step(). A null listener costs one pointer test per launch,
+/// so instrumentation consumers add zero overhead when detached.
 class RecordListener {
 public:
   virtual ~RecordListener() = default;

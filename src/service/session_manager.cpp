@@ -63,15 +63,14 @@ std::vector<real> solo_final_state(const SessionConfig& cfg) {
   if (cfg.shards > 1) {
     nbody::ShardOptions so;
     so.shards = cfg.shards;
-    nbody::ShardedSimulation sim(session_workload(cfg),
-                                 session_sim_config(cfg), so);
-    for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
+    nbody::Simulation sim(session_workload(cfg), session_sim_config(cfg), so);
+    sim.run(cfg.steps);
     return packed_state(sim.particles());
   }
   runtime::Device dev;
   runtime::ScopedDevice scope(dev);
   nbody::Simulation sim(session_workload(cfg), session_sim_config(cfg));
-  for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
+  sim.run(cfg.steps);
   return packed_state(sim.particles());
 }
 
@@ -224,8 +223,7 @@ std::vector<real> SessionManager::final_state(std::uint64_t id) const {
     throw std::logic_error("SessionManager: session " + std::to_string(id) +
                            " is not terminal");
   }
-  if (s.sim != nullptr) return packed_state(s.sim->particles());
-  if (s.sharded != nullptr) return packed_state(s.sharded->particles());
+  if (s.engine != nullptr) return packed_state(s.engine->particles());
   throw std::logic_error("SessionManager: session " + std::to_string(id) +
                          " never constructed an engine");
 }
@@ -315,10 +313,12 @@ SessionManager::Session* SessionManager::pick_locked() {
 
 std::size_t SessionManager::engine_capacity(const Session& s,
                                             runtime::Device& dev) const {
-  if (s.sharded != nullptr) {
+  if (s.engine != nullptr) {
+    // Under the driver's ScopedDevice an unsharded engine's shard device
+    // is `dev` itself.
     std::size_t sum = 0;
-    for (int k = 0; k < s.sharded->shard_count(); ++k) {
-      sum += s.sharded->shard_device(k).arena_capacity();
+    for (int k = 0; k < s.engine->shard_count(); ++k) {
+      sum += s.engine->shard_device(k).arena_capacity();
     }
     return sum;
   }
@@ -337,33 +337,28 @@ void SessionManager::construct(Session& s) {
     so.workers = opt_.workers;
     so.async = opt_.async;
     so.lanes = opt_.lanes;
-    s.sharded = std::make_unique<nbody::ShardedSimulation>(std::move(p),
-                                                           std::move(cfg), so);
+    s.engine = std::make_unique<nbody::Simulation>(std::move(p),
+                                                   std::move(cfg), so);
   } else {
-    s.sim =
+    s.engine =
         std::make_unique<nbody::Simulation>(std::move(p), std::move(cfg));
   }
   if (!s.cfg.trace_path.empty() || !s.cfg.telemetry_path.empty()) {
     s.observer = std::make_unique<trace::Session>(s.cfg.trace_path,
                                                   s.cfg.telemetry_path);
-    if (s.sim != nullptr) s.sim->set_instrumentation_listener(s.observer.get());
-    else s.sharded->set_instrumentation_listener(s.observer.get());
+    s.engine->set_instrumentation_listener(s.observer.get());
   }
-  trace::FlightRecorder* fr = s.sim != nullptr
-                                  ? s.sim->flight_recorder()
-                                  : s.sharded->flight_recorder();
   // Per-session incident dumps: concurrent faults on a shared
   // GOTHIC_FLIGHT destination stay identifiable and never clobber.
-  if (fr != nullptr) fr->set_dump_tag(s.cfg.name);
+  if (trace::FlightRecorder* fr = s.engine->flight_recorder()) {
+    fr->set_dump_tag(s.cfg.name);
+  }
 }
 
-void SessionManager::finish_observability(Session& s, runtime::Device& dev) {
+void SessionManager::finish_observability(Session& s) {
   if (s.observer == nullptr) return;
-  if (s.sim != nullptr) s.sim->set_instrumentation_listener(nullptr);
-  else if (s.sharded != nullptr) s.sharded->set_instrumentation_listener(nullptr);
-  runtime::Device& gauges =
-      s.sharded != nullptr ? s.sharded->shard_device(0) : dev;
-  (void)s.observer->finish(gauges);
+  s.engine->set_instrumentation_listener(nullptr);
+  (void)s.observer->finish(s.engine->shard_device(0));
 }
 
 SessionManager::Outcome SessionManager::advance(Session& s,
@@ -372,11 +367,10 @@ SessionManager::Outcome SessionManager::advance(Session& s,
   const std::size_t cap0 = engine_capacity(s, dev);
   Stopwatch sw;
   try {
-    if (s.sim == nullptr && s.sharded == nullptr) {
+    if (s.engine == nullptr) {
       construct(s); // the first quantum: bootstrap build + forces
     } else {
-      if (s.sim != nullptr) (void)s.sim->step();
-      else (void)s.sharded->step();
+      (void)s.engine->step();
       out.steps_add = 1;
     }
     out.seconds = sw.seconds();
@@ -400,10 +394,8 @@ SessionManager::Outcome SessionManager::advance(Session& s,
         (done % s.cfg.snapshot_every == 0 ||
          out.next == SessionState::Completed)) {
       try {
-        const nbody::Particles& p =
-            s.sim != nullptr ? s.sim->particles() : s.sharded->particles();
-        const double t = s.sim != nullptr ? s.sim->time() : s.sharded->time();
-        nbody::write_snapshot(s.cfg.snapshot_path, p, t);
+        nbody::write_snapshot(s.cfg.snapshot_path, s.engine->particles(),
+                              s.engine->time());
       } catch (const std::exception& e) {
         // Observability never kills the physics: keep stepping.
         std::fprintf(stderr, "gothic: session %s checkpoint failed: %s\n",
@@ -429,7 +421,7 @@ SessionManager::Outcome SessionManager::advance(Session& s,
     } catch (...) { // NOLINT(bugprone-empty-catch)
     }
   }
-  if (terminal(out.next)) finish_observability(s, dev);
+  if (terminal(out.next)) finish_observability(s);
   return out;
 }
 

@@ -1,7 +1,6 @@
 // service::SessionManager — the multi-tenant session layer: many
-// independent Simulation / ShardedSimulation instances multiplexed onto a
-// shared pool of runtime::Devices (DESIGN.md, "Session layer &
-// multi-tenancy").
+// independent Simulation instances multiplexed onto a shared pool of
+// runtime::Devices (DESIGN.md, "Session layer & multi-tenancy").
 //
 // The ROADMAP's serving shape is thousands of small scenarios in flight,
 // not one big N. The manager runs one host driver thread per pool device;
@@ -40,7 +39,6 @@
 // bounds each session's marginal footprint.
 #pragma once
 
-#include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
 #include "scenario/registry.hpp"
 #include "trace/metrics.hpp"
@@ -79,8 +77,8 @@ struct SessionConfig {
   std::size_t n = 0;          ///< 0 = scenario.default_n
   std::uint64_t seed = 0;     ///< 0 = scenario.default_seed
   int steps = 8;              ///< quanta to completion
-  /// 1 = a Simulation on the pool device; >1 = a ShardedSimulation, which
-  /// constructs its own per-shard devices (the manager still schedules,
+  /// 1 = a Simulation on the pool device; >1 = a Simulation over this many
+  /// shards, which constructs its own per-shard devices (the manager still schedules,
   /// meters, quota-charges and fault-isolates it).
   int shards = 1;
   /// 0 = unlimited. Otherwise the session fails once the arena growth
@@ -208,8 +206,7 @@ private:
     std::string error;
     // Engine state: touched only by the claiming driver (the claim
     // handoff under the manager mutex provides the happens-before).
-    std::unique_ptr<nbody::Simulation> sim;
-    std::unique_ptr<nbody::ShardedSimulation> sharded;
+    std::unique_ptr<nbody::Simulation> engine;
     std::unique_ptr<trace::Session> observer;
   };
 
@@ -229,7 +226,7 @@ private:
   void construct(Session& s);
   [[nodiscard]] std::size_t engine_capacity(const Session& s,
                                             runtime::Device& dev) const;
-  void finish_observability(Session& s, runtime::Device& dev);
+  void finish_observability(Session& s);
   [[nodiscard]] const Session& session_at(std::uint64_t id) const;
   [[nodiscard]] SessionInfo info_locked(const Session& s) const;
 

@@ -1,6 +1,6 @@
 #include "testkit/fuzz.hpp"
 
-#include "nbody/sharded_simulation.hpp"
+#include "nbody/simulation.hpp"
 #include "runtime/device.hpp"
 #include "simt/simd.hpp"
 #include "trace/flight_recorder.hpp"
@@ -371,8 +371,7 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
   opt.lanes = cfg.lanes;
-  nbody::ShardedSimulation sim(fuzz_cloud(cfg.n, cfg.workload_seed), sim_cfg,
-                               opt);
+  nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed), sim_cfg, opt);
 
   // One seeded stream controller per shard device, installed between the
   // constructor's synchronize and the first step (devices are idle here).
@@ -470,8 +469,7 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
   opt.lanes = cfg.lanes;
-  nbody::ShardedSimulation sim(sc.make(cfg.n, cfg.workload_seed), sim_cfg,
-                               opt);
+  nbody::Simulation sim(sc.make(cfg.n, cfg.workload_seed), sim_cfg, opt);
 
   std::vector<std::unique_ptr<SeededSchedule>> ctrls;
   for (int s = 0; s < out.shards; ++s) {
@@ -542,8 +540,8 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   opt.workers = cfg.workers;
   opt.async = -1; // follow GOTHIC_ASYNC — check.sh sweeps both modes
   opt.lanes = cfg.lanes;
-  nbody::ShardedSimulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
-                               fuzz_sim_config(cfg.rebuild_interval), opt);
+  nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
+                        fuzz_sim_config(cfg.rebuild_interval), opt);
   (void)sim.step(); // a healthy step first, so the fault hits steady state
 
   // Target one of the shard's upcoming step launches (its per-device

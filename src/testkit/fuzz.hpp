@@ -144,7 +144,7 @@ struct ShardRunOutcome {
   std::vector<std::string> violations;
 };
 
-/// Run the fuzz workload through ShardedSimulation. The seed is the full
+/// Run the fuzz workload through a sharded Simulation. The seed is the full
 /// replay token: walk schedule from seed % 4, async mode from
 /// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3, the
 /// SIMD substrate from (seed >> 5) & 1, and one SeededSchedule stream

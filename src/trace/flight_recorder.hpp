@@ -13,7 +13,7 @@
 // Perfetto session.
 //
 // Enablement is environment-driven: GOTHIC_FLIGHT=<path> makes Simulation
-// / ShardedSimulation / testkit::run_fault_plan construct a recorder and
+// and testkit::run_fault_plan construct a recorder and
 // dump to <path> on their error paths ("-" dumps to stderr). When the
 // variable is unset nothing is constructed and the hot path keeps its
 // null-listener pointer test.
@@ -61,7 +61,7 @@ public:
 
   /// Ring write without forwarding — the error-path backfill used when a
   /// step aborts before its records were forwarded to the listener chain
-  /// (ShardedSimulation feeds the shard sinks through this before dumping).
+  /// (Simulation feeds its shard sinks through this before dumping).
   void record_only(const runtime::LaunchRecord& rec);
 
   /// Attach (or detach, with nullptr) the downstream listener every

@@ -25,6 +25,7 @@ double LatencyHistogram::bin_upper_edge(int i) {
 
 void LatencyHistogram::add(double seconds) {
   bins_[static_cast<std::size_t>(bin_index(seconds))] += 1;
+  min_ = count_ == 0 ? seconds : std::min(min_, seconds);
   count_ += 1;
   sum_ += seconds;
   max_ = std::max(max_, seconds);
@@ -39,9 +40,9 @@ double LatencyHistogram::percentile(double p) const {
   std::uint64_t seen = 0;
   for (int i = 0; i < kBins; ++i) {
     seen += bins_[static_cast<std::size_t>(i)];
-    if (seen >= rank) return bin_upper_edge(i);
+    if (seen >= rank) return std::clamp(bin_upper_edge(i), min_, max_);
   }
-  return bin_upper_edge(kBins - 1);
+  return max_;
 }
 
 void LatencyHistogram::reset() { *this = LatencyHistogram{}; }

@@ -39,13 +39,15 @@ public:
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum_seconds() const { return sum_; }
+  [[nodiscard]] double min_seconds() const { return count_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max_seconds() const { return max_; }
   [[nodiscard]] double mean_seconds() const {
     return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
   }
 
   /// Upper edge of the bin containing the rank-ceil(p*count) sample
-  /// (p in [0, 1]); 0 when empty.
+  /// (p in [0, 1]), clamped to the observed [min, max] so a percentile
+  /// never leaves the sampled range; 0 when empty.
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double p50_seconds() const { return percentile(0.50); }
   [[nodiscard]] double p95_seconds() const { return percentile(0.95); }
@@ -64,6 +66,7 @@ private:
   std::array<std::uint64_t, kBins> bins_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
+  double min_ = 0.0;
   double max_ = 0.0;
 };
 

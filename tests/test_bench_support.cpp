@@ -363,7 +363,7 @@ TEST_F(ReportSchema, MetricsKernelsKeepMonotonePercentiles) {
     const double mx = require(k, "max_seconds", JsonValue::Type::Number).number;
     EXPECT_GT(p50, 0.0) << k.at("kernel").str;
     EXPECT_LE(p50, p95) << k.at("kernel").str;
-    EXPECT_LE(p95, mx * 2.0) << k.at("kernel").str; // p95 is a bin upper edge
+    EXPECT_LE(p95, mx) << k.at("kernel").str;
     check_ops_block(k.at("ops"));
   }
 }

@@ -4,7 +4,6 @@
 // scenario must have a deterministically replayable fuzz seed.
 #include "scenario/registry.hpp"
 
-#include "nbody/sharded_simulation.hpp"
 #include "simt/simd.hpp"
 #include "testkit/fuzz.hpp"
 
@@ -173,7 +172,7 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     opt.workers = fc.workers;
     opt.async = async ? 1 : 0;
     opt.lanes = fc.lanes;
-    nbody::ShardedSimulation sim(
+    nbody::Simulation sim(
         sc.make(fc.n, fc.workload_seed),
         testkit::scenario_fuzz_config(sc, fc.rebuild_interval,
                                       gravity::WalkSchedule::Static),

@@ -1,8 +1,8 @@
-// ShardedSimulation: the K-shard pipeline must be bit-identical to the
-// single-device Simulation for any shard count, worker count and async
+// Sharded Simulation: the K-shard step must be bit-identical to the
+// ambient-device Simulation for any shard count, worker count and async
 // mode (rebuilds included), report per-shard busy time and LET traffic,
-// and isolate one shard's launch fault from the other shards' devices.
-#include "nbody/sharded_simulation.hpp"
+// isolate one shard's launch fault from the other shards' devices, and
+// account a faulted step the same way for every K.
 #include "nbody/simulation.hpp"
 #include "runtime/device.hpp"
 #include "testkit/fault.hpp"
@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 namespace gothic::nbody {
@@ -76,14 +77,30 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
       opt.workers = 3;
       opt.async = async;
       opt.lanes = 2;
-      ShardedSimulation sim(plummer(kN, 5), shard_config(), opt);
+      Simulation sim(plummer(kN, 5), shard_config(), opt);
       sim.run(kSteps);
-      expect_state_equal(sim.particles(), ref.particles(),
-                         "K=" + std::to_string(shards) +
-                             " async=" + std::to_string(async));
+      const std::string what =
+          "K=" + std::to_string(shards) + " async=" + std::to_string(async);
+      expect_state_equal(sim.particles(), ref.particles(), what);
       EXPECT_EQ(sim.step_count(), ref.step_count());
       EXPECT_EQ(sim.rebuild_count(), ref.rebuild_count());
       EXPECT_EQ(sim.time(), ref.time());
+      if (shards != 1) continue;
+
+      // The ambient-device engine on the same device shape is the same
+      // K = 1 step: same bits, same per-kernel work, same rebuilds.
+      runtime::Device dev(opt.workers, opt.async, opt.lanes);
+      runtime::ScopedDevice scope(dev);
+      Simulation ambient(plummer(kN, 5), shard_config());
+      ambient.run(kSteps);
+      expect_state_equal(ambient.particles(), sim.particles(),
+                         what + " ambient");
+      for (int k = 0; k < static_cast<int>(Kernel::Count); ++k) {
+        EXPECT_EQ(ambient.kernel_ops(static_cast<Kernel>(k)),
+                  sim.kernel_ops(static_cast<Kernel>(k)))
+            << what << " ambient: " << kernel_name(static_cast<Kernel>(k));
+      }
+      EXPECT_EQ(ambient.rebuild_count(), sim.rebuild_count());
     }
   }
 }
@@ -97,7 +114,7 @@ TEST(Shard, BitIdenticalAcrossWorkerCounts) {
     opt.workers = workers;
     opt.async = 1;
     opt.lanes = 2;
-    ShardedSimulation sim(plummer(kN, 6), shard_config(), opt);
+    Simulation sim(plummer(kN, 6), shard_config(), opt);
     sim.run(kSteps);
     expect_state_equal(sim.particles(), ref.particles(),
                        "workers=" + std::to_string(workers));
@@ -108,7 +125,7 @@ TEST(Shard, PartitionBoundsAreContiguousAndCovering) {
   ShardOptions opt;
   opt.shards = 4;
   opt.workers = 2;
-  ShardedSimulation sim(plummer(kN, 7), shard_config(), opt);
+  Simulation sim(plummer(kN, 7), shard_config(), opt);
   sim.run(2);
   const auto& bb = sim.body_bounds();
   const auto& gb = sim.group_bounds();
@@ -127,7 +144,7 @@ TEST(Shard, StatsReportBusyTimeAndLetTraffic) {
   ShardOptions opt;
   opt.shards = 4;
   opt.workers = 2;
-  ShardedSimulation sim(plummer(kN, 8), shard_config(), opt);
+  Simulation sim(plummer(kN, 8), shard_config(), opt);
   sim.run(3);
   const ShardStepStats& st = sim.last_shard_stats();
   ASSERT_EQ(st.busy_seconds.size(), 4u);
@@ -156,7 +173,7 @@ TEST(Shard, ListenerReceivesShardedStepMarks) {
   ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  ShardedSimulation sim(plummer(kN, 9), shard_config(), opt);
+  Simulation sim(plummer(kN, 9), shard_config(), opt);
   Capture cap;
   sim.set_instrumentation_listener(&cap);
   sim.run(3);
@@ -177,7 +194,7 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   opt.workers = 2;
   opt.async = 1;
   opt.lanes = 2;
-  ShardedSimulation sim(plummer(512, 10), shard_config(), opt);
+  Simulation sim(plummer(512, 10), shard_config(), opt);
   (void)sim.step(); // fault against steady state, not the bootstrap
 
   const int target = 1;
@@ -206,6 +223,44 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   }
 }
 
+TEST(Shard, FaultedStepIsCountedAlikeForEveryShardCount) {
+  // A step that throws has advanced time(); it must also have advanced
+  // step_count(), and by the same rule at K = 1 (ambient device) and K = 2.
+  runtime::Device ambient_dev(2, /*async=*/1, /*lanes=*/2);
+  ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  opt.async = 1;
+  opt.lanes = 2;
+  std::unique_ptr<Simulation> one;
+  {
+    runtime::ScopedDevice scope(ambient_dev);
+    one = std::make_unique<Simulation>(plummer(512, 14), shard_config());
+  }
+  Simulation two(plummer(512, 14), shard_config(), opt);
+
+  for (const int k : {1, 2}) {
+    runtime::ScopedDevice scope(ambient_dev);
+    Simulation& sim = k == 1 ? *one : two;
+    (void)sim.step(); // fault against steady state, not the bootstrap
+    const int count0 = sim.step_count();
+    const double t0 = sim.time();
+
+    runtime::Device& dev = sim.shard_device(k - 1);
+    testkit::FaultPlan plan;
+    plan.throw_at.push_back(dev.launch_count() + 2);
+    testkit::FaultController ctrl(plan);
+    dev.set_schedule_controller(&ctrl);
+    EXPECT_THROW((void)sim.step(), testkit::InjectedFault) << "K=" << k;
+    dev.set_schedule_controller(nullptr);
+    ASSERT_GT(ctrl.injected_throws(), 0) << "K=" << k;
+    EXPECT_EQ(sim.step_count(), count0 + 1) << "K=" << k;
+    EXPECT_GT(sim.time(), t0) << "K=" << k;
+  }
+  EXPECT_EQ(one->step_count(), two.step_count());
+  EXPECT_EQ(one->time(), two.time());
+}
+
 TEST(Shard, RefreshForcesMatchesUnsharded) {
   Simulation ref(plummer(kN, 11), shard_config());
   ref.run(4);
@@ -214,7 +269,7 @@ TEST(Shard, RefreshForcesMatchesUnsharded) {
   ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  ShardedSimulation sim(plummer(kN, 11), shard_config(), opt);
+  Simulation sim(plummer(kN, 11), shard_config(), opt);
   sim.run(4);
   sim.refresh_forces();
   expect_state_equal(sim.particles(), ref.particles(), "refresh_forces");
@@ -224,9 +279,9 @@ TEST(Shard, RefreshForcesMatchesUnsharded) {
 TEST(Shard, RejectsInvalidOptions) {
   ShardOptions bad;
   bad.shards = 0;
-  EXPECT_THROW(ShardedSimulation(plummer(64, 12), shard_config(), bad),
+  EXPECT_THROW(Simulation(plummer(64, 12), shard_config(), bad),
                std::invalid_argument);
-  EXPECT_THROW(ShardedSimulation(Particles(), shard_config(), ShardOptions{}),
+  EXPECT_THROW(Simulation(Particles(), shard_config(), ShardOptions{}),
                std::invalid_argument);
 }
 
@@ -239,7 +294,7 @@ TEST(Shard, MoreShardsThanGroupsStillBitIdentical) {
   ShardOptions opt;
   opt.shards = 4;
   opt.workers = 2;
-  ShardedSimulation sim(plummer(64, 13), cfg, opt);
+  Simulation sim(plummer(64, 13), cfg, opt);
   sim.run(kSteps);
   expect_state_equal(sim.particles(), ref.particles(), "K>groups");
 }

@@ -72,10 +72,33 @@ TEST(LatencyHistogram, SingleValueDistribution) {
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.max_seconds(), v);
   EXPECT_NEAR(h.mean_seconds(), v, 1e-15);
-  // Percentiles resolve to the bin's upper edge: within [v, 2v).
+  // Percentiles stay inside the sample's bin: within [v, 2v).
   for (const double p : {0.01, 0.5, 0.95, 1.0}) {
     EXPECT_GE(h.percentile(p), v);
     EXPECT_LE(h.percentile(p), 2.0 * v);
+  }
+}
+
+TEST(LatencyHistogram, OneValueHistogramReturnsThatValueAtEveryPercentile) {
+  // The bin's upper edge lies above the only observed value; clamping to
+  // the observed [min, max] returns the value itself.
+  for (const double v : {3e-7, 1e-3, 0.0085, 1.5}) {
+    LatencyHistogram h;
+    for (int i = 0; i < 7; ++i) h.add(v);
+    EXPECT_EQ(h.min_seconds(), v);
+    for (const double p : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(h.percentile(p), v) << "v=" << v << " p=" << p;
+    }
+  }
+}
+
+TEST(LatencyHistogram, PercentilesStayWithinObservedRange) {
+  LatencyHistogram h;
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 500; ++i) h.add(rng.uniform(3e-3, 8.5e-3));
+  for (double p = 0.0; p <= 1.0; p += 0.05) {
+    EXPECT_GE(h.percentile(p), h.min_seconds()) << "p=" << p;
+    EXPECT_LE(h.percentile(p), h.max_seconds()) << "p=" << p;
   }
 }
 

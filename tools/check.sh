@@ -42,6 +42,9 @@
 # streams, and validates a golden-schema BENCH_service.json through the
 # bench_diff gate.
 #
+# The perfbench stage runs the benchmark of record's self-test (an
+# impossible tolerance must be counted as failed).
+#
 # The TSan stage rebuilds test_runtime, test_walk_tree, test_service and
 # gothic_fuzz in a separate build tree (build-tsan/) with
 # GOTHIC_SANITIZE=thread and runs them under both scheduler modes,
@@ -181,7 +184,8 @@ echo "== shard stage: K-shard bit-identity + LET traffic (both scheduler modes) 
 # other shards' devices).
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build && GOTHIC_ASYNC=$mode ctest --output-on-failure -L shard -j)
+  (cd build &&
+    GOTHIC_ASYNC=$mode ctest --output-on-failure --no-tests=error -L shard -j)
   (cd build &&
     GOTHIC_ASYNC=$mode GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
       GOTHIC_BENCH_STEPS=8 ./bench/bench_shard >/dev/null &&
@@ -231,7 +235,8 @@ echo "== service stage: session pool (both scheduler modes) =="
 # bench_diff gate.
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build && GOTHIC_ASYNC=$mode ctest --output-on-failure -L service -j)
+  (cd build &&
+    GOTHIC_ASYNC=$mode ctest --output-on-failure --no-tests=error -L service -j)
   GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=0 --faults=0 \
     --service=6 --n=128 --steps=3
 done
@@ -305,6 +310,15 @@ if ./build/tools/bench_diff --baseline=bench-results \
 fi
 rm -rf build/bench-slow bench-fresh
 echo "bench_diff gate passed"
+
+echo "== benchmark of record: perfbench self-test =="
+# perfbench (perfbench/README.md) is the benchmark of record; bench_diff and
+# the BENCH_*.json figure reports above are not. Its self-test proves the
+# correctness checks can fail: one short m31-64k run with every tolerance
+# scaled to zero must count each attempted step as failed, and the same
+# run with the real tolerances must count none.
+python3 perfbench/tests/selftest.py
+echo "perfbench self-test passed"
 
 if [[ "${1:-}" == "--fast" ]]; then
   exit 0

@@ -44,13 +44,12 @@
 //                                 rings at the end of the run
 //   --metrics                     print per-kernel latency histograms
 //                                 (p50/p95/max) and arena gauges at exit
-//   --shards=<int>                run the sharded pipeline over K per-shard
-//                                 devices (default: $GOTHIC_SHARDS, else 1
-//                                 = the single-device Simulation; results
+//   --shards=<int>                run the step over K per-shard devices
+//                                 (default: $GOTHIC_SHARDS, else 1 = one
+//                                 shard on the default device; results
 //                                 are bit-identical for every K)
 #include "galaxy/m31.hpp"
 #include "galaxy/spherical_sampler.hpp"
-#include "nbody/sharded_simulation.hpp"
 #include "scenario/registry.hpp"
 #include "nbody/simulation.hpp"
 #include "nbody/snapshot.hpp"
@@ -160,11 +159,8 @@ std::string snapshot_name(const std::string& prefix, int step) {
   return prefix + buf;
 }
 
-/// The drive loop, shared by the single-device Simulation and the sharded
-/// pipeline (identical interfaces, bit-identical results). `trace_dev` is
-/// the device whose arena gauges the metrics footer samples.
-template <typename Sim>
-int drive(Sim& sim, runtime::Device& trace_dev, const Args& args) {
+/// The drive loop, for any shard count.
+int drive(nbody::Simulation& sim, const Args& args) {
   const int steps = static_cast<int>(args.get_int("steps", 64));
   const int snap_every = static_cast<int>(args.get_int("snapshot-every", 0));
   const std::string prefix = args.get("out", "gothic_");
@@ -227,7 +223,7 @@ int drive(Sim& sim, runtime::Device& trace_dev, const Args& args) {
   }
   if (session) {
     sim.set_instrumentation_listener(nullptr);
-    const bool ok = session->finish(trace_dev);
+    const bool ok = session->finish(sim.shard_device(0));
     if (metrics) session->metrics().print(std::cout);
     if (session->tracing()) {
       // Non-zero drops mean the bounded trace buffer truncated the
@@ -294,18 +290,19 @@ int main(int argc, char** argv) {
                 << gravity::force_law_name(sc->law) << "]: " << sc->summary
                 << "\n";
     }
-    const int shards = shard_count(args);
-    if (shards > 1) {
-      nbody::ShardOptions opt;
-      opt.shards = shards;
-      nbody::ShardedSimulation sim(make_initial(args, sc.get()),
-                                   make_config(args, sc.get()), opt);
-      std::cout << "sharded pipeline: " << shards << " shards\n";
-      return drive(sim, sim.shard_device(0), args);
+    // K = 1 runs on the default device; K > 1 owns its shard devices.
+    nbody::ShardOptions opt;
+    opt.shards = shard_count(args);
+    nbody::Particles ics = make_initial(args, sc.get());
+    nbody::SimConfig cfg = make_config(args, sc.get());
+    nbody::Simulation sim =
+        opt.shards > 1
+            ? nbody::Simulation(std::move(ics), std::move(cfg), opt)
+            : nbody::Simulation(std::move(ics), std::move(cfg));
+    if (opt.shards > 1) {
+      std::cout << "sharded pipeline: " << opt.shards << " shards\n";
     }
-    nbody::Simulation sim(make_initial(args, sc.get()),
-                          make_config(args, sc.get()));
-    return drive(sim, runtime::Device::current(), args);
+    return drive(sim, args);
   } catch (const std::exception& e) {
     std::cerr << "gothic_run: " << e.what() << "\n";
     return 1;

@@ -58,9 +58,9 @@ int main() {
   }
   t.print(std::cout);
   ov.print(std::cout);
-  std::cout << "overlap = sum of kernel seconds - step wall span: the gap "
-               "concurrent streams hide (GOTHIC_ASYNC=0 serialises it "
-               "away).\n";
+  std::cout << "overlap = sum of kernel seconds - step wall span: 0 by "
+               "construction for this single-device step (a device is one "
+               "FIFO lane; only K > 1 shards overlap across devices).\n";
   std::cout << "expected shape: gravity dominates; total "
             << (monotone ? "grows monotonically with Ntot"
                          : "NON-MONOTONE (unexpected)")

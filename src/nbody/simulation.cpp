@@ -101,8 +101,7 @@ Simulation::Simulation(Particles particles, SimConfig cfg, ShardOptions opt,
     sh->tree_stream = runtime::Stream(sh->tree_name.c_str());
     sh->integrate_stream = runtime::Stream(sh->integrate_name.c_str());
     if (own_devices_) {
-      sh->dev =
-          std::make_unique<runtime::Device>(opt.workers, opt.async, opt.lanes);
+      sh->dev = std::make_unique<runtime::Device>(opt.workers, opt.async);
     }
     shards_.push_back(std::move(sh));
   }

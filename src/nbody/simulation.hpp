@@ -61,8 +61,7 @@ struct SimConfig {
   /// trace::TraceWriter keys Perfetto tracks by stream name, so a service
   /// pool running many simulations sets a per-session prefix ("s3/") and
   /// gets one clearly-labelled track group per session. Purely a label:
-  /// stream *identity* (and thus lane mapping) is per-Stream-object
-  /// either way.
+  /// stream *identity* is per-Stream-object either way.
   std::string stream_prefix;
 
   /// Set the simt scheduling mode of every kernel at once.
@@ -111,12 +110,11 @@ struct StepReport {
 /// Device shape of an engine that owns its shard devices. `shards` is K;
 /// the remaining knobs are forwarded to each shard's runtime::Device
 /// constructor (0 / -1 = that device's environment defaults,
-/// GOTHIC_THREADS / GOTHIC_ASYNC / GOTHIC_ASYNC_LANES).
+/// GOTHIC_THREADS / GOTHIC_ASYNC).
 struct ShardOptions {
   int shards = 1;
   int workers = 0;
   int async = -1;
-  int lanes = 0;
 };
 
 /// Per-shard observability of the most recent step.

@@ -3,9 +3,6 @@
 #include "util/env.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -18,22 +15,17 @@
 namespace gothic::runtime {
 
 namespace {
-/// Innermost ScopedDevice override (also installed on lane leader threads,
+/// Innermost ScopedDevice override (also installed on the leader thread,
 /// so Device::current() inside an async launch body resolves to the
 /// issuing device).
 thread_local Device* tl_current = nullptr;
-/// Execution context of the calling thread: when `tl_ctx_device` owns the
-/// thread as a lane leader, collectives route to lane `tl_ctx_lane`'s team
-/// instead of the full pool.
-thread_local Device* tl_ctx_device = nullptr;
-thread_local int tl_ctx_lane = -1;
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Team: one fork/join group. Member 0 is the calling thread of run(); the
 // remaining members are dedicated threads parked on a condition variable.
-// The synchronous path uses one team over the whole pool; each lane of the
-// asynchronous engine owns a team over its slice.
+// A device owns one team over its whole pool, shared by the host thread
+// and the async leader.
 // ---------------------------------------------------------------------------
 
 class Device::Team {
@@ -85,6 +77,10 @@ public:
   }
 
   void run(JobFn fn, void* ctx) {
+    // One job at a time: the host thread and the leader may both fork a
+    // collective, and the job slot, the generation count and member 0's
+    // worker (its arena) belong to one caller for the whole run.
+    const std::lock_guard<std::mutex> turn(run_mutex_);
     if (threads_.empty()) {
       run_timed(fn, ctx, *members_.front());
       return;
@@ -142,6 +138,7 @@ private:
 
   std::vector<Worker*> members_;
   std::vector<std::thread> threads_;
+  std::mutex run_mutex_; ///< held by the run() caller for the whole job
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
@@ -154,7 +151,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Lane and launch-queue node of the asynchronous engine.
+// Launch-queue node of the asynchronous engine.
 // ---------------------------------------------------------------------------
 
 /// One queued launch: the type-erased body lives inline in `storage` (no
@@ -165,23 +162,9 @@ struct Device::LaunchNode {
   BodyInvoke invoke = nullptr;
   BodyDestroy destroy = nullptr;
   std::uint64_t id = 0;
-  std::array<std::uint64_t, 4> deps{};
   InstrumentationSink* sink = nullptr;
   std::size_t record_index = 0;
   LaunchNode* next = nullptr;
-};
-
-/// One stream-execution lane: a slice of the worker budget with its own
-/// Worker slots (local ids 0..k-1, own arenas), a leader thread that pops
-/// the lane's FIFO queue, and a team the leader forks launch collectives
-/// onto.
-struct Device::Lane {
-  int index = 0;
-  std::vector<std::unique_ptr<Worker>> slots;
-  std::unique_ptr<Team> team;
-  std::thread leader;
-  LaunchNode* head = nullptr;
-  LaunchNode* tail = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -202,9 +185,8 @@ int Device::default_workers() {
 
 bool Device::default_async() { return env_size("GOTHIC_ASYNC", 1) != 0; }
 
-Device::Device(int workers, int async, int lanes)
-    : async_(async < 0 ? default_async() : async != 0),
-      lanes_requested_(lanes) {
+Device::Device(int workers, int async)
+    : async_(async < 0 ? default_async() : async != 0) {
   const int n = std::min(workers > 0 ? workers : default_workers(),
                          kMaxWorkers);
   slots_.reserve(static_cast<std::size_t>(n));
@@ -215,28 +197,19 @@ Device::Device(int workers, int async, int lanes)
     slots_.back()->id = i;
     members.push_back(slots_.back().get());
   }
-  // Full-pool team: worker 0 is whatever thread runs the collective.
+  // Worker 0 is whatever thread runs the collective: the host thread, or
+  // the leader inside an async launch body.
   pool_ = std::make_unique<Team>(std::move(members));
-  completed_gaps_.reserve(64);
 }
 
 Device::~Device() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (gating_) {
-      // A serializing controller holds queued launches until granted; the
-      // destructor must keep pumping grants or the drain below never ends.
-      pump_locked(lock, [&] { return inflight_ == 0; });
-    } else {
-      event_cv_.wait(lock, [&] { return inflight_ == 0; });
-    }
+    event_cv_.wait(lock, [&] { return inflight_ == 0; });
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  for (auto& lane : lanes_) {
-    if (lane->leader.joinable()) lane->leader.join();
-  }
-  lanes_.clear(); // joins each lane team's member threads
+  if (leader_.joinable()) leader_.join();
   pool_.reset();
 }
 
@@ -249,28 +222,7 @@ Device& Device::current() {
   return tl_current != nullptr ? *tl_current : shared();
 }
 
-int Device::workers() const {
-  if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    return lanes_[static_cast<std::size_t>(tl_ctx_lane)]->team->size();
-  }
-  return static_cast<int>(slots_.size());
-}
-
-Worker& Device::context_worker(int i) {
-  if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    return *lanes_[static_cast<std::size_t>(tl_ctx_lane)]
-                ->slots[static_cast<std::size_t>(i)];
-  }
-  return *slots_[static_cast<std::size_t>(i)];
-}
-
-void Device::dispatch(JobFn fn, void* ctx) {
-  if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    lanes_[static_cast<std::size_t>(tl_ctx_lane)]->team->run(fn, ctx);
-    return;
-  }
-  pool_->run(fn, ctx);
-}
+void Device::dispatch(JobFn fn, void* ctx) { pool_->run(fn, ctx); }
 
 // --- issue path ------------------------------------------------------------
 
@@ -308,7 +260,7 @@ LaunchRecord Device::make_record_locked(const LaunchDesc& desc) {
   };
   for (Event e : desc.deps) add_dep(e, false);
   // Same-stream launches are implicitly ordered (CUDA stream semantics);
-  // the lane executes its queue FIFO, the edge documents the order.
+  // the device executes in issue order, the edge documents the order.
   if (desc.stream != nullptr) add_dep(desc.stream->last(), true);
   if (desc.stream != nullptr) desc.stream->last_ = Event{rec.id, this};
   return rec;
@@ -330,7 +282,7 @@ void Device::finish_launch(const IssuedLaunch& issued, double t_begin,
   std::lock_guard<std::mutex> lock(mutex_);
   issued.sink->finish_record(issued.record_index, issued.id, t_begin, t_end,
                              issued.workers, ops);
-  mark_complete_locked(issued.id);
+  completed_floor_ = issued.id;
   event_cv_.notify_all();
 }
 
@@ -340,8 +292,7 @@ Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ensure_engine_locked();
-    Lane& lane = lane_for_locked(desc.stream);
+    if (!leader_.joinable()) start_leader_locked();
     const LaunchRecord rec = make_record_locked(desc); // may throw: no node yet
     LaunchNode* node = free_nodes_;
     if (node != nullptr) {
@@ -351,165 +302,67 @@ Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
       node = nodes_.back().get();
     }
     node->id = rec.id;
-    node->deps = rec.deps;
     node->sink = desc.sink != nullptr ? desc.sink : &sink_;
     node->record_index = node->sink->begin_record(rec);
     node->invoke = invoke;
     node->destroy = destroy;
     copy(node->storage, body);
     node->next = nullptr;
-    if (lane.tail != nullptr) {
-      lane.tail->next = node;
+    if (tail_ != nullptr) {
+      tail_->next = node;
     } else {
-      lane.head = node;
+      head_ = node;
     }
-    lane.tail = node;
+    tail_ = node;
     ++inflight_;
     id = rec.id;
-    if (controller_ != nullptr) controller_->on_enqueue(lane.index, id);
   }
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();
   return Event{id, this};
 }
 
 // --- asynchronous engine ---------------------------------------------------
 
-Device::LaneConfig Device::resolve_lanes(int requested, int workers) {
-  LaneConfig cfg;
-  cfg.requested = requested;
-  cfg.lanes = std::clamp(requested, 1, std::max(1, workers));
-  cfg.clamped = cfg.lanes != requested;
-  return cfg;
-}
-
-namespace {
-// Once-per-process latches of the two lane-resolution warnings: every
-// device of a pool resolves the same GOTHIC_ASYNC_LANES setting, and one
-// line is diagnostic while dozens are stderr flooding.
-std::atomic<bool> g_warned_lane_clamp{false};
-std::atomic<bool> g_warned_single_lane{false};
-} // namespace
-
-void Device::reset_lane_warnings() {
-  g_warned_lane_clamp.store(false);
-  g_warned_single_lane.store(false);
-}
-
-void Device::ensure_engine_locked() {
-  if (!lanes_.empty()) return;
-  const int n = static_cast<int>(slots_.size());
-  // A lane request from the constructor wins; otherwise GOTHIC_ASYNC_LANES;
-  // otherwise the default of 2. Out-of-range explicit requests (0, or more
-  // lanes than workers) clamp loudly instead of silently misconfiguring
-  // the lane partition, and an explicit single lane warns that stream
-  // overlap is off.
-  int requested = lanes_requested_;
-  bool explicit_request = lanes_requested_ != 0;
-  if (!explicit_request) {
-    if (std::getenv("GOTHIC_ASYNC_LANES") != nullptr) {
-      explicit_request = true;
-      requested = static_cast<int>(
-          std::min<std::size_t>(env_size("GOTHIC_ASYNC_LANES", 2), 1 << 20));
-    } else {
-      requested = 2;
-    }
-  }
-  const LaneConfig cfg = resolve_lanes(requested, n);
-  if (explicit_request && cfg.clamped) {
-    if (!g_warned_lane_clamp.exchange(true)) {
-      std::fprintf(stderr,
-                   "gothic: requested %d stream lanes, clamped to %d "
-                   "(valid range 1..%d for %d workers)\n",
-                   cfg.requested, cfg.lanes, n, n);
-    }
-  } else if (explicit_request && cfg.lanes == 1) {
-    if (!g_warned_single_lane.exchange(true)) {
-      std::fprintf(stderr,
-                   "gothic: 1 stream lane requested; all streams share it "
-                   "and cannot overlap\n");
-    }
-  }
-  const int l = cfg.lanes;
-  lanes_.reserve(static_cast<std::size_t>(l));
-  for (int i = 0; i < l; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->index = i;
-    const int k = n / l + (i < n % l ? 1 : 0);
-    std::vector<Worker*> members;
-    members.reserve(static_cast<std::size_t>(k));
-    for (int j = 0; j < k; ++j) {
-      lane->slots.push_back(std::make_unique<Worker>());
-      lane->slots.back()->id = j;
-      members.push_back(lane->slots.back().get());
-    }
-    lane->team = std::make_unique<Team>(std::move(members));
-    lanes_.push_back(std::move(lane));
-  }
-  // Leaders start after lanes_ is fully built: they index into it.
-  for (auto& lane : lanes_) {
-    Lane* l_ptr = lane.get();
-    lane->leader = std::thread([this, l_ptr] { lane_loop(*l_ptr); });
-  }
+void Device::start_leader_locked() {
+  // Deferred to the first launch so constructing a device that never
+  // launches (a session pool's idle device, a bench's setup) spawns no
+  // leader and allocates no nodes.
   nodes_.reserve(64);
   for (int i = 0; i < 64; ++i) {
     nodes_.push_back(std::make_unique<LaunchNode>());
     nodes_.back()->next = free_nodes_;
     free_nodes_ = nodes_.back().get();
   }
+  leader_ = std::thread([this] { leader_loop(); });
 }
 
-Device::Lane& Device::lane_for_locked(const Stream* stream) {
-  for (const auto& [s, idx] : stream_lanes_) {
-    if (s == stream) return *lanes_[idx];
-  }
-  // Round-robin new streams over the lanes; several streams may share a
-  // lane (they serialize, which is always correct — just less overlap).
-  const std::size_t idx = stream_lanes_.size() % lanes_.size();
-  stream_lanes_.emplace_back(stream, idx);
-  return *lanes_[idx];
-}
-
-void Device::lane_loop(Lane& lane) {
+void Device::leader_loop() {
   // Launch bodies run on this thread; Device::current() must resolve to
-  // the issuing device, and collectives must fork onto the lane's team.
+  // the issuing device.
   tl_current = this;
-  tl_ctx_device = this;
-  tl_ctx_lane = lane.index;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    queue_cv_.wait(lock, [&] { return stopping_ || lane.head != nullptr; });
-    if (lane.head == nullptr) {
-      if (stopping_) return; // queue drained (the destructor synchronizes)
-      continue;
-    }
-    LaunchNode* node = lane.head;
-    // Wait for the node's dependencies. Deadlock-free: every dependency
-    // has a smaller issue id, and each lane pops its queue FIFO in issue
-    // order, so the launch holding the smallest incomplete id always has
-    // complete dependencies and sits at the head of its lane — some lane
-    // can always make progress. Under a serializing schedule controller
-    // the node additionally needs the grant (issued by the host-side pump
-    // in wait_event/synchronize, which keeps the same progress guarantee).
-    event_cv_.wait(lock, [&] {
-      return deps_complete_locked(*node) && may_run_locked(*node);
-    });
-    lane.head = node->next;
-    if (lane.head == nullptr) lane.tail = nullptr;
+    queue_cv_.wait(lock, [&] { return stopping_ || head_ != nullptr; });
+    if (head_ == nullptr) return; // stopping, queue drained
+    // Every dependency has a smaller issue id and the queue runs strictly
+    // in issue order, so the head's dependencies are already complete.
+    LaunchNode* node = head_;
+    head_ = node->next;
+    if (head_ == nullptr) tail_ = nullptr;
     lock.unlock();
-    run_node(lane, *node);
+    run_node(*node);
     lock.lock();
   }
 }
 
-void Device::run_node(Lane& lane, LaunchNode& node) {
+void Device::run_node(LaunchNode& node) {
   simt::OpCounts ops;
   std::exception_ptr err;
   const double t0 = now();
   try {
-    // The fault/stall injection point runs outside the lock, so a stalled
-    // body blocks only its own lane. controller_ cannot change while this
-    // node is in flight (set_schedule_controller requires an idle device).
-    if (controller_ != nullptr) controller_->before_body(lane.index, node.id);
+    // controller_ cannot change while this node is in flight
+    // (set_schedule_controller requires an idle device).
+    fault_point(node.id);
     node.invoke(node.storage, ops);
   } catch (...) {
     err = std::current_exception();
@@ -518,109 +371,18 @@ void Device::run_node(Lane& lane, LaunchNode& node) {
   node.destroy(node.storage);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    node.sink->finish_record(node.record_index, node.id, t0, t1,
-                             lane.team->size(), ops);
-    // Move (don't copy) so this lane drops its reference here: the thread
+    node.sink->finish_record(node.record_index, node.id, t0, t1, workers(),
+                             ops);
+    // Move (don't copy) so the leader drops its reference here: the thread
     // that later rethrows the error must be the only one releasing the
     // exception object, or its teardown races with the consumer's what().
     if (err && !async_error_) async_error_ = std::move(err);
-    if (controller_ != nullptr) controller_->on_complete(lane.index, node.id);
-    mark_complete_locked(node.id);
+    completed_floor_ = node.id;
     node.next = free_nodes_;
     free_nodes_ = &node;
     --inflight_;
   }
   event_cv_.notify_all();
-}
-
-// --- completion tracking ---------------------------------------------------
-
-bool Device::is_complete_locked(std::uint64_t id) const {
-  if (id <= completed_floor_) return true;
-  return std::find(completed_gaps_.begin(), completed_gaps_.end(), id) !=
-         completed_gaps_.end();
-}
-
-bool Device::deps_complete_locked(const LaunchNode& node) const {
-  for (std::uint64_t d : node.deps) {
-    if (d != 0 && !is_complete_locked(d)) return false;
-  }
-  return true;
-}
-
-void Device::mark_complete_locked(std::uint64_t id) {
-  if (id != completed_floor_ + 1) {
-    completed_gaps_.push_back(id);
-    return;
-  }
-  ++completed_floor_;
-  bool advanced = true;
-  while (advanced) {
-    advanced = false;
-    for (auto it = completed_gaps_.begin(); it != completed_gaps_.end(); ++it) {
-      if (*it == completed_floor_ + 1) {
-        ++completed_floor_;
-        completed_gaps_.erase(it);
-        advanced = true;
-        break;
-      }
-    }
-  }
-}
-
-// --- schedule-control pump -------------------------------------------------
-
-bool Device::may_run_locked(const LaunchNode& node) const {
-  return !gating_ || grant_ == node.id;
-}
-
-void Device::gather_ready_locked() {
-  ready_.clear();
-  for (const auto& lane : lanes_) {
-    const LaunchNode* node = lane->head;
-    if (node != nullptr && deps_complete_locked(*node)) {
-      ready_.push_back(ReadyLaunch{lane->index, node->id, node->deps});
-    }
-  }
-}
-
-template <typename Pred>
-void Device::pump_locked(std::unique_lock<std::mutex>& lock, Pred done) {
-  // Grants are issued exclusively here, while the host thread is blocked,
-  // so the controller observes a choice sequence that depends only on the
-  // program's issue order — never on OS thread timing. A new grant is
-  // picked only after the previous one completed, so execution under a
-  // serializing controller is one launch at a time, in grant order.
-  for (;;) {
-    if (grant_ != 0 && is_complete_locked(grant_)) grant_ = 0;
-    if (done()) return;
-    if (grant_ == 0) {
-      gather_ready_locked();
-      if (ready_.empty()) {
-        // Impossible when the wait target is reachable: the smallest
-        // incomplete launch always has complete dependencies and sits at
-        // its lane's head. Reaching this means the caller waits on work
-        // that was never issued.
-        throw std::logic_error(
-            "Device: schedule pump stalled with no ready launch");
-      }
-      const std::uint64_t choice =
-          controller_->pick(std::span<const ReadyLaunch>(ready_));
-      bool admissible = false;
-      for (const ReadyLaunch& r : ready_) admissible |= r.id == choice;
-      if (!admissible) {
-        throw std::logic_error(
-            "ScheduleController::pick chose launch " + std::to_string(choice) +
-            ", which is not ready");
-      }
-      grant_ = choice;
-      queue_cv_.notify_all();
-      event_cv_.notify_all();
-    }
-    event_cv_.wait(lock, [&] {
-      return done() || (grant_ != 0 && is_complete_locked(grant_));
-    });
-  }
 }
 
 void Device::set_schedule_controller(ScheduleController* c) {
@@ -630,9 +392,6 @@ void Device::set_schedule_controller(ScheduleController* c) {
         "Device::set_schedule_controller: device has launches in flight");
   }
   controller_ = c;
-  gating_ = c != nullptr && c->serializing();
-  grant_ = 0;
-  if (c != nullptr) ready_.reserve(8);
 }
 
 ScheduleController* Device::schedule_controller() const {
@@ -640,32 +399,17 @@ ScheduleController* Device::schedule_controller() const {
   return controller_;
 }
 
-int Device::lane_count() {
-  if (!async_) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ensure_engine_locked();
-  return static_cast<int>(lanes_.size());
-}
-
 // --- waits -----------------------------------------------------------------
 
 void Device::wait_event(std::uint64_t id) {
   if (id == 0) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  if (gating_) {
-    pump_locked(lock, [&] { return is_complete_locked(id); });
-    return;
-  }
-  event_cv_.wait(lock, [&] { return is_complete_locked(id); });
+  event_cv_.wait(lock, [&] { return id <= completed_floor_; });
 }
 
 void Device::synchronize() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (gating_) {
-    pump_locked(lock, [&] { return inflight_ == 0; });
-  } else {
-    event_cv_.wait(lock, [&] { return inflight_ == 0; });
-  }
+  event_cv_.wait(lock, [&] { return inflight_ == 0; });
   if (async_error_) {
     std::exception_ptr err = std::exchange(async_error_, nullptr);
     lock.unlock();
@@ -680,22 +424,14 @@ void Event::wait() const {
 // --- introspection ---------------------------------------------------------
 
 std::uint64_t Device::arena_heap_allocations() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& w : slots_) total += w->arena.heap_allocations();
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) total += w->arena.heap_allocations();
-  }
   return total;
 }
 
 std::size_t Device::arena_capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
   for (const auto& w : slots_) total += w->arena.capacity();
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) total += w->arena.capacity();
-  }
   return total;
 }
 
@@ -705,35 +441,21 @@ std::uint64_t Device::launch_count() const {
 }
 
 double Device::worker_busy_seconds_max() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   double m = 0.0;
   for (const auto& w : slots_) m = std::max(m, w->busy_seconds());
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) m = std::max(m, w->busy_seconds());
-  }
   return m;
 }
 
 double Device::worker_busy_seconds_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   double total = 0.0;
   for (const auto& w : slots_) total += w->busy_seconds();
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) total += w->busy_seconds();
-  }
   return total;
 }
 
 int Device::busy_worker_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   int n = 0;
   for (const auto& w : slots_) {
     if (w->busy_ns.load(std::memory_order_relaxed) > 0) ++n;
-  }
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) {
-      if (w->busy_ns.load(std::memory_order_relaxed) > 0) ++n;
-    }
   }
   return n;
 }

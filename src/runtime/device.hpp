@@ -9,13 +9,17 @@
 //    size is GOTHIC_THREADS-overridable, with one cache-line-padded Worker
 //    per thread carrying a scratch Arena that retains its high-water
 //    capacity across launches;
-//  * Stream/Event scheduling: launches enqueue onto their stream's lane —
-//    a partitioned slice of the worker pool — and execute as soon as their
-//    dependency events complete, so independent streams (the step loop's
-//    predict ∥ makeTree) genuinely overlap. Event::wait() and
-//    synchronize() are real completion handles. GOTHIC_ASYNC=0 selects
-//    the synchronous escape hatch: launches run to completion on the
-//    calling thread plus the full pool, bit-identically;
+//  * Stream/Event scheduling: an asynchronous device is one FIFO lane. A
+//    leader thread pops the device's launch queue in issue order and forks
+//    each launch's collectives onto the whole worker pool — a lone kernel
+//    owns every worker, as it owns every SM on the GPU. Streams and events
+//    stay ordering handles (every dependency has a smaller issue id, so
+//    issue order satisfies them all) and are recorded per launch;
+//    Event::wait() and synchronize() are real completion handles. Overlap
+//    comes from separate devices (shards, pool drivers), not from streams
+//    of one device. GOTHIC_ASYNC=0 selects the synchronous escape hatch:
+//    launches run to completion on the calling thread plus the pool,
+//    bit-identically;
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
 //    begin/end timestamps, so the sink can report achieved overlap) into
 //    an InstrumentationSink.
@@ -23,9 +27,8 @@
 // Kernels obtain the device with Device::current(): the thread-local
 // override installed by ScopedDevice (tests pin worker counts this way) or
 // else the process-wide shared() device. Inside an asynchronous launch
-// body, current() resolves to the issuing device and its collectives run
-// on the launch's lane (workers() reports the lane width), so kernels are
-// oblivious to which scheduler drives them.
+// body, current() resolves to the issuing device, so kernels are oblivious
+// to which scheduler drives them.
 #pragma once
 
 #include "runtime/arena.hpp"
@@ -50,9 +53,8 @@
 namespace gothic::runtime {
 
 /// Per-thread execution context handed to range bodies: a stable worker
-/// index (within the executing context — a lane under async scheduling,
-/// the full pool otherwise) and the worker's scratch arena. Padded to a
-/// cache line so neighbouring workers never false-share.
+/// index within the device pool and the worker's scratch arena. Padded to
+/// a cache line so neighbouring workers never false-share.
 struct alignas(64) Worker {
   int id = 0;
   Arena arena;
@@ -72,11 +74,8 @@ public:
   /// `workers` <= 0 selects the default: GOTHIC_THREADS when set, else the
   /// OpenMP thread count / hardware concurrency. `async` < 0 selects the
   /// GOTHIC_ASYNC default (asynchronous unless GOTHIC_ASYNC=0); 0 forces
-  /// the synchronous path, > 0 forces asynchronous scheduling. `lanes` = 0
-  /// defers to GOTHIC_ASYNC_LANES (default 2); any other value requests
-  /// that many stream lanes (clamped to [1, workers] with a warning, see
-  /// resolve_lanes).
-  explicit Device(int workers = 0, int async = -1, int lanes = 0);
+  /// the synchronous path, > 0 forces asynchronous scheduling.
+  explicit Device(int workers = 0, int async = -1);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -88,14 +87,15 @@ public:
   /// shared().
   static Device& current();
 
-  /// Workers of the current execution context: the lane width inside an
-  /// asynchronous launch body, the full pool size otherwise.
-  [[nodiscard]] int workers() const;
+  /// Workers of the pool every collective forks onto.
+  [[nodiscard]] int workers() const { return static_cast<int>(slots_.size()); }
 
-  /// The `i`-th worker of the current execution context (lane worker
-  /// inside an async launch body, pool worker otherwise). Serial access
-  /// only — never while a collective is in flight.
-  [[nodiscard]] Worker& context_worker(int i);
+  /// The `i`-th pool worker. Serial access only — never while a collective
+  /// is in flight, nor from the host while launches of an async device are
+  /// in flight (its leader forks onto the same workers and arenas).
+  [[nodiscard]] Worker& context_worker(int i) {
+    return *slots_[static_cast<std::size_t>(i)];
+  }
 
   /// The worker-count default the constructor would resolve for
   /// `workers <= 0` (GOTHIC_THREADS-aware); exposed for bench metadata.
@@ -107,13 +107,14 @@ public:
   [[nodiscard]] bool async() const { return async_; }
 
   // --- collectives --------------------------------------------------------
-  // All collectives run on the calling thread (context worker 0) plus the
-  // context's remaining workers and return only when every worker
-  // finished. Exceptions thrown by bodies are recorded first-wins and
-  // exactly one is rethrown on the caller; the pool stays reusable.
-  // Bodies must not re-enter the device.
+  // All collectives run on the calling thread (worker 0) plus the pool's
+  // remaining workers and return only when every worker finished.
+  // Collectives from different threads (the host and the async leader)
+  // take turns on the one pool. Exceptions thrown by bodies are recorded
+  // first-wins and exactly one is rethrown on the caller; the pool stays
+  // reusable. Bodies must not re-enter the device.
 
-  /// Invoke `fn(Worker&)` once per context worker.
+  /// Invoke `fn(Worker&)` once per pool worker.
   template <typename Fn>
   void for_workers(Fn&& fn) {
     using F = std::remove_reference_t<Fn>;
@@ -122,9 +123,8 @@ public:
 
   /// Invoke `fn(Worker&, lo, hi)` on each worker's contiguous chunk of
   /// [begin, end) — the static schedule the OpenMP loops used. The chunk
-  /// map is fixed for the whole launch (the context's worker count never
-  /// changes mid-launch), so any per-chunk-stable algorithm sees one
-  /// consistent partition.
+  /// map is fixed for the whole launch (the worker count never changes), so
+  /// any per-chunk-stable algorithm sees one consistent partition.
   template <typename Fn>
   void parallel_ranges(std::size_t begin, std::size_t end, Fn&& fn) {
     if (end <= begin) return;
@@ -250,12 +250,17 @@ public:
   /// wall time and begin/end timestamps. Returns the launch's completion
   /// event.
   ///
-  /// Asynchronous devices enqueue the body onto the stream's lane and
-  /// return immediately; the body starts once every dependency event has
-  /// completed (streams themselves are FIFO). The caller must keep
-  /// everything the body references alive until the event completes, and
-  /// a body must not issue launches of its own. Body exceptions are held
-  /// and rethrown (first one wins) by the next synchronize().
+  /// Asynchronous devices enqueue the body onto the device's FIFO queue
+  /// and return immediately; the leader runs queued bodies one at a time
+  /// in issue order, which satisfies every dependency event. The caller
+  /// must keep everything the body references alive until the event
+  /// completes, and a body must not issue launches of its own. Body
+  /// exceptions are held and rethrown (first one wins) by the next
+  /// synchronize().
+  ///
+  /// Launches complete in issue order on both paths (completion tracking
+  /// is one "all ids <= floor are done" counter), so a synchronous device
+  /// takes launches from one issuing thread at a time.
   ///
   /// Synchronous devices (GOTHIC_ASYNC=0) run the body to completion on
   /// the calling thread plus the full pool before returning; body
@@ -305,61 +310,38 @@ public:
   /// Default destination of LaunchRecords when LaunchDesc::sink is null.
   [[nodiscard]] InstrumentationSink& sink() { return sink_; }
 
-  // --- schedule control (testkit seam) ------------------------------------
+  // --- fault-injection seam (testkit) -------------------------------------
 
   /// Install (or remove, with nullptr) a schedule controller. Only while
   /// the device is idle (no launches in flight) — throws std::logic_error
-  /// otherwise. The controller must outlive its installation; its
-  /// serializing() flag is sampled here. See runtime/schedule.hpp for the
-  /// grant protocol.
+  /// otherwise. The controller must outlive its installation. See
+  /// runtime/schedule.hpp.
   void set_schedule_controller(ScheduleController* c);
   [[nodiscard]] ScheduleController* schedule_controller() const;
 
-  // --- lane configuration -------------------------------------------------
-
-  /// Resolved lane request. `lanes` is always in [1, workers]; `clamped`
-  /// marks a request outside that range (0, negative, or > workers) that
-  /// had to be adjusted; a resolved count of 1 means every stream shares
-  /// one lane and streams cannot overlap.
-  struct LaneConfig {
-    int requested = 0;
-    int lanes = 1;
-    bool clamped = false;
-  };
-  /// Pure lane-count resolution: clamp `requested` into [1, workers].
-  /// The engine warns on stderr when an *explicit* request (ctor argument
-  /// or GOTHIC_ASYNC_LANES) was clamped or disables overlap (1 lane).
-  static LaneConfig resolve_lanes(int requested, int workers);
-  /// The clamp / single-lane warnings fire once per *process*, not once
-  /// per Device: a session pool constructs many devices under the same
-  /// GOTHIC_ASYNC_LANES setting and must not repeat the identical line.
-  /// This test seam re-arms them.
-  static void reset_lane_warnings();
-  /// Lanes this device schedules streams over; materializes the engine on
-  /// first call. Always 0 for synchronous devices (no lanes exist).
-  [[nodiscard]] int lane_count();
+  /// Stream lanes of this device: 1 for an asynchronous device (its one
+  /// FIFO queue), 0 for a synchronous one.
+  [[nodiscard]] int lane_count() const { return async_ ? 1 : 0; }
 
   // --- introspection (runtime tests) --------------------------------------
 
-  /// Sum of heap allocations performed by all worker arenas (pool and
-  /// lane workers) — stable after warm-up when steady-state launches
-  /// reuse retained capacity.
+  /// Sum of heap allocations performed by all worker arenas — stable after
+  /// warm-up when steady-state launches reuse retained capacity.
   [[nodiscard]] std::uint64_t arena_heap_allocations() const;
   /// Total bytes retained by all worker arenas.
   [[nodiscard]] std::size_t arena_capacity() const;
   /// Launches issued so far.
   [[nodiscard]] std::uint64_t launch_count() const;
 
-  // Worker busy-time gauges (pool and lane workers; relaxed samples of the
-  // per-worker counters, safe to read while collectives run). The spread
+  // Worker busy-time gauges (relaxed samples of the per-worker counters,
+  // safe to read while collectives run). The spread
   // between the busiest worker and the mean is the device-lifetime load
   // imbalance trace::MetricsRegistry turns into a ratio.
   /// Busiest single worker's cumulative collective-body seconds.
   [[nodiscard]] double worker_busy_seconds_max() const;
   /// Sum of collective-body seconds across every worker slot.
   [[nodiscard]] double worker_busy_seconds_total() const;
-  /// Worker slots (pool + materialized lanes) that have recorded any
-  /// collective-body busy time so far.
+  /// Workers that have recorded any collective-body busy time so far.
   [[nodiscard]] int busy_worker_count() const;
 
 private:
@@ -369,9 +351,7 @@ private:
   using BodyDestroy = void (*)(void*);
 
   class Team;
-  struct Lane;
   struct LaunchNode;
-  struct Context;
 
   /// Issue-time half of a launch: id assigned, deps validated and
   /// recorded, placeholder record inserted into the sink.
@@ -384,10 +364,10 @@ private:
 
   void dispatch(JobFn fn, void* ctx);
   [[nodiscard]] double now() const { return epoch_.seconds(); }
-  /// Synchronous-path fault hook: forwards to the controller's
-  /// before_body() with lane -1. One pointer test when none is installed.
+  /// Fault hook of both launch paths: forwards to the controller's
+  /// before_body(). One pointer test when none is installed.
   void fault_point(std::uint64_t id) {
-    if (controller_ != nullptr) controller_->before_body(-1, id);
+    if (controller_ != nullptr) controller_->before_body(id);
   }
 
   IssuedLaunch issue_launch(const LaunchDesc& desc);
@@ -397,54 +377,41 @@ private:
   Event launch_async(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
                      BodyDestroy destroy, const void* body);
 
-  void ensure_engine_locked();
-  Lane& lane_for_locked(const Stream* stream);
-  void lane_loop(Lane& lane);
-  void run_node(Lane& lane, LaunchNode& node);
-  void mark_complete_locked(std::uint64_t id);
-  [[nodiscard]] bool is_complete_locked(std::uint64_t id) const;
-  [[nodiscard]] bool deps_complete_locked(const LaunchNode& node) const;
-  /// Launch a leader may execute now: gating off, or holding the grant.
-  [[nodiscard]] bool may_run_locked(const LaunchNode& node) const;
-  void gather_ready_locked();
-  /// Drive the schedule controller while the host blocks: grant launches
-  /// one at a time until `done()` holds. The only place grants are issued.
-  template <typename Pred>
-  void pump_locked(std::unique_lock<std::mutex>& lock, Pred done);
+  void start_leader_locked();
+  void leader_loop();
+  void run_node(LaunchNode& node);
 
   std::vector<std::unique_ptr<Worker>> slots_;
-  std::unique_ptr<Team> pool_;   ///< full-pool team of the synchronous path
+  std::unique_ptr<Team> pool_;   ///< the one fork/join team of the device
   const bool async_;
-  const int lanes_requested_;    ///< ctor lane request (0 = env default)
   Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
-  // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
-  // per-collective fork/join hot path uses the teams' own locks.
+  // Launch bookkeeping (ids, completion, queue, sinks) — one lock; the
+  // per-collective fork/join hot path uses the team's own locks.
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  ///< lane leaders: work available / stop
-  std::condition_variable event_cv_;  ///< completions: event waits, sync, free nodes
+  std::condition_variable queue_cv_;  ///< leader: work available / stop
+  std::condition_variable event_cv_;  ///< completions: event waits, sync
   bool stopping_ = false;
   std::uint64_t next_launch_ = 1;
-  std::uint64_t completed_floor_ = 0;      ///< all ids <= floor are complete
-  std::vector<std::uint64_t> completed_gaps_; ///< out-of-order completions
+  std::uint64_t completed_floor_ = 0; ///< ids <= floor are complete
   int inflight_ = 0;
   std::exception_ptr async_error_;
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  // The FIFO launch queue the leader pops, and the pooled nodes it holds.
+  LaunchNode* head_ = nullptr;
+  LaunchNode* tail_ = nullptr;
   std::vector<std::unique_ptr<LaunchNode>> nodes_;
   LaunchNode* free_nodes_ = nullptr;
-  std::vector<std::pair<const Stream*, std::size_t>> stream_lanes_;
 
-  // Schedule-control seam (runtime/schedule.hpp). `controller_` is set
-  // only while the device is idle, so leaders may read it unlocked while a
-  // launch is in flight. `gating_` caches controller_->serializing();
-  // `grant_` is the single launch id leaders may execute under gating.
+  // Fault-injection seam (runtime/schedule.hpp). Set only while the device
+  // is idle, so the leader may read it unlocked while a launch is in
+  // flight.
   ScheduleController* controller_ = nullptr;
-  bool gating_ = false;
-  std::uint64_t grant_ = 0;
-  std::vector<ReadyLaunch> ready_; ///< pump scratch (controller runs only)
 
   InstrumentationSink sink_;
+  /// Async devices only, started by the first launch; declared last,
+  /// joined first.
+  std::thread leader_;
 };
 
 /// RAII device override for the calling thread: kernels reached from this

@@ -11,12 +11,13 @@
 // into an InstrumentationSink.
 //
 // Execution is asynchronous by default: launch() enqueues the kernel onto
-// its stream's lane (a partitioned slice of the device worker pool) and
-// returns immediately; Event::wait() and Device::synchronize() are real
-// completion handles, and independent streams execute concurrently.
-// GOTHIC_ASYNC=0 restores the old synchronous path (run-to-completion on
-// the calling thread plus the full pool) for A/B comparison and debugging
-// — results are bit-identical either way.
+// the device's one FIFO queue and returns immediately; Event::wait() and
+// Device::synchronize() are real completion handles. Streams and events
+// order launches and are recorded per launch; within one device launches
+// run in issue order on the whole worker pool. GOTHIC_ASYNC=0 selects the
+// synchronous path (run-to-completion on the calling thread plus the
+// pool) for A/B comparison and debugging — results are bit-identical
+// either way.
 #pragma once
 
 #include "simt/op_counter.hpp"

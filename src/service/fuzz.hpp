@@ -3,7 +3,7 @@
 //
 // One run builds a SessionManager (pool shape from the seed), submits a
 // mixed batch of scenario-registry sessions, injects one fault family —
-// launch-body throws / lane stalls via testkit::FaultController on the
+// launch-body throws / leader stalls via testkit::FaultController on the
 // pool devices, or process-wide arena OOM via testkit::ArenaFaultGuard —
 // and asserts the isolation contract after wait_all():
 //
@@ -33,7 +33,6 @@ struct ServiceFuzzConfig {
   std::size_t n = 192;  ///< particles per session
   int steps = 4;        ///< steps per session
   int workers = 2;      ///< per-device workers
-  int lanes = 2;        ///< per-device stream lanes
   int min_sessions = 4; ///< batch size range the seed picks from
   int max_sessions = 6;
 };

@@ -80,8 +80,8 @@ SessionManager::SessionManager(PoolOptions opt) : opt_(opt) {
   opt_.devices = std::max(1, opt_.devices);
   devices_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
-    devices_.push_back(std::make_unique<runtime::Device>(
-        opt_.workers, opt_.async, opt_.lanes));
+    devices_.push_back(
+        std::make_unique<runtime::Device>(opt_.workers, opt_.async));
   }
   drivers_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
@@ -336,7 +336,6 @@ void SessionManager::construct(Session& s) {
     so.shards = s.cfg.shards;
     so.workers = opt_.workers;
     so.async = opt_.async;
-    so.lanes = opt_.lanes;
     s.engine = std::make_unique<nbody::Simulation>(std::move(p),
                                                    std::move(cfg), so);
   } else {

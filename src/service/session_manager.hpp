@@ -62,7 +62,6 @@ struct PoolOptions {
   int devices = 1;
   int workers = 0;
   int async = -1;
-  int lanes = 0;
 };
 
 enum class SessionState { Pending, Running, Completed, Failed };
@@ -177,7 +176,7 @@ public:
   [[nodiscard]] std::uint64_t starvation_bound() const;
 
   [[nodiscard]] int device_count() const;
-  /// Pool device i — for tests installing schedule/fault controllers.
+  /// Pool device i — for tests installing fault controllers.
   /// Install only while the pool is idle (before submit / after
   /// wait_all), exactly like Device::set_schedule_controller requires.
   [[nodiscard]] runtime::Device& pool_device(int i);

@@ -5,8 +5,7 @@
 
 namespace gothic::testkit {
 
-void FaultController::before_body(int lane, std::uint64_t id) {
-  (void)lane;
+void FaultController::before_body(std::uint64_t id) {
   if (std::find(plan_.stall_at.begin(), plan_.stall_at.end(), id) !=
       plan_.stall_at.end()) {
     stalls_.fetch_add(1, std::memory_order_relaxed);

@@ -2,10 +2,9 @@
 //
 // A FaultPlan names launches (by issue id) at which to inject a body
 // exception or a bounded worker stall; FaultController delivers them
-// through the runtime::ScheduleController::before_body() hook. The
-// controller is non-serializing — the engine keeps free-running, so a
-// stalled lane leader exercises the real cross-lane dependency machinery
-// (the other lane keeps executing past it), and TSan sees genuine
+// through the runtime::ScheduleController::before_body() hook while the
+// engine runs free, so a stalled leader holds back every later launch of
+// its device and the host's event waits, and TSan sees genuine
 // concurrency.
 //
 // Arena exhaustion is driven separately through the Arena grow hook:
@@ -50,14 +49,14 @@ struct FaultPlan {
   std::chrono::microseconds stall_for{500};
 };
 
-/// Delivers a FaultPlan. Non-serializing: hooks may fire concurrently from
-/// several lane leaders, so all mutable state is atomic.
+/// Delivers a FaultPlan. The hook fires on whichever thread runs the
+/// launch while other threads may read the counters, so all mutable state
+/// is atomic.
 class FaultController final : public runtime::ScheduleController {
 public:
   explicit FaultController(FaultPlan plan) : plan_(std::move(plan)) {}
 
-  [[nodiscard]] bool serializing() const override { return false; }
-  void before_body(int lane, std::uint64_t id) override;
+  void before_body(std::uint64_t id) override;
 
   [[nodiscard]] int injected_throws() const {
     return throws_.load(std::memory_order_relaxed);

@@ -63,7 +63,7 @@ std::vector<real> pack_state(const nbody::Particles& p) {
 
 std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
                                  runtime::ScheduleController* controller) {
-  runtime::Device dev(cfg.workers, async ? 1 : 0, cfg.lanes);
+  runtime::Device dev(cfg.workers, async ? 1 : 0);
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
@@ -75,6 +75,33 @@ std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
   return pack_state(sim.particles());
 }
 
+namespace {
+
+const char* schedule_name(gravity::WalkSchedule s) {
+  switch (s) {
+  case gravity::WalkSchedule::Static: return "static";
+  case gravity::WalkSchedule::Dynamic: return "dynamic";
+  case gravity::WalkSchedule::CostWeighted: return "cost-weighted";
+  case gravity::WalkSchedule::Auto: return "auto";
+  }
+  return "?";
+}
+
+std::string leg_name(gravity::WalkSchedule schedule, bool simd, bool async,
+                     int shards) {
+  return std::string(schedule_name(schedule)) + (simd ? " simd" : " scalar") +
+         (async ? " async" : " sync") + " K=" + std::to_string(shards);
+}
+
+void append_divergence(SweepReport& rep, std::uint64_t seed,
+                       const std::string& leg) {
+  rep.failing_seeds.push_back(seed);
+  rep.failures.push_back("seed " + hex_seed(seed) + " (" + leg +
+                         "): state diverged from the synchronous reference");
+}
+
+} // namespace
+
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference) {
   // The walk schedule is part of the replay token: deriving it from the
@@ -85,44 +112,20 @@ RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
   // hosts without AVX2 — set_simd_enabled clamps to availability).
   FuzzConfig run_cfg = cfg;
   run_cfg.schedule = static_cast<gravity::WalkSchedule>(seed % 4);
-  simt::ScopedSimd simd(((seed >> 4) & 1) != 0);
-  SeededSchedule ctrl(seed);
-  const std::vector<real> state = run_controlled(run_cfg, true, &ctrl);
+  const bool simd_on = ((seed >> 4) & 1) != 0;
+  simt::ScopedSimd simd(simd_on);
   RunOutcome out;
-  out.signature = ctrl.signature();
-  out.decision_points = ctrl.decision_points();
-  out.bit_identical = state == reference;
-  out.violations = ctrl.violations();
+  out.leg = leg_name(run_cfg.schedule, simd_on, true, 1);
+  out.state = run_controlled(run_cfg, true, nullptr);
+  out.bit_identical = out.state == reference;
   return out;
 }
-
-namespace {
-
-void append_run_failure(SweepReport& rep, const std::string& who,
-                        bool bit_identical,
-                        const std::vector<std::string>& violations) {
-  std::string line = who;
-  const char* sep = ": ";
-  if (!bit_identical) {
-    line += sep;
-    line += "state diverged from the synchronous reference";
-    sep = "; ";
-  }
-  for (const std::string& v : violations) {
-    line += sep;
-    line += v;
-    sep = "; ";
-  }
-  rep.failures.push_back(line);
-}
-
-} // namespace
 
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count) {
   SweepReport rep;
   // One synchronous reference per walk schedule: the schedule contract
-  // says all three are bit-identical, so verify that up front and let
+  // says all four are bit-identical, so verify that up front and let
   // every async run (whose schedule replay_seed derives from its seed)
   // compare against the one shared reference.
   FuzzConfig ref_cfg = cfg;
@@ -133,13 +136,8 @@ SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
         gravity::WalkSchedule::Auto}) {
     ref_cfg.schedule = schedule;
     if (run_controlled(ref_cfg, false, nullptr) != ref) {
-      const char* name = schedule == gravity::WalkSchedule::Dynamic
-                             ? "dynamic"
-                             : schedule == gravity::WalkSchedule::CostWeighted
-                                   ? "cost-weighted"
-                                   : "auto";
       rep.failures.push_back(
-          std::string("walk schedule ") + name +
+          std::string("walk schedule ") + schedule_name(schedule) +
           " diverged from the static schedule on the synchronous run");
     }
   }
@@ -147,43 +145,8 @@ SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
     const std::uint64_t seed = base_seed + i;
     const RunOutcome out = replay_seed(cfg, seed, ref);
     ++rep.runs;
-    rep.signatures.insert(out.signature);
-    rep.decision_points_total += out.decision_points;
-    if (!out.bit_identical || !out.violations.empty()) {
-      rep.failing_seeds.push_back(seed);
-      append_run_failure(rep, "seed " + hex_seed(seed), out.bit_identical,
-                         out.violations);
-    }
-  }
-  return rep;
-}
-
-SweepReport enumerate_schedules(const FuzzConfig& cfg, std::size_t max_runs) {
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
-  SweepReport rep;
-  std::vector<std::size_t> path;
-  while (rep.runs < max_runs) {
-    ScriptedSchedule ctrl(path);
-    const std::vector<real> state = run_controlled(cfg, true, &ctrl);
-    ++rep.runs;
-    std::string who = "path [";
-    for (std::size_t i = 0; i < ctrl.decisions().size(); ++i) {
-      if (i != 0) who += ' ';
-      who += std::to_string(ctrl.decisions()[i].chosen);
-    }
-    who += ']';
-    // Distinct decision vectors pick a different launch at some grant, so
-    // every DFS leaf must execute a signature never seen before.
-    if (!rep.signatures.insert(ctrl.signature()).second) {
-      rep.failures.push_back(who + ": interleaving repeated an earlier path");
-    }
-    rep.decision_points_total += ctrl.decisions().size();
-    if (state != ref || !ctrl.violations().empty()) {
-      append_run_failure(rep, who, state == ref, ctrl.violations());
-    }
-    auto next = ScriptedSchedule::next_path(ctrl.decisions());
-    if (!next) break; // tree exhausted
-    path = std::move(*next);
+    rep.legs.insert(out.leg);
+    if (!out.bit_identical) append_divergence(rep, seed, out.leg);
   }
   return rep;
 }
@@ -201,7 +164,7 @@ std::size_t count_in_dag(const std::vector<std::uint64_t>& ids) {
 FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   FaultOutcome out;
   FaultController ctrl(plan);
-  runtime::Device dev(cfg.workers, 1, cfg.lanes);
+  runtime::Device dev(cfg.workers, 1);
   dev.set_schedule_controller(&ctrl);
 
   // GOTHIC_FLIGHT turns every fault-plan failure into a self-describing
@@ -231,7 +194,7 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
 
   // The fixed DAG (kFaultLaunches = 8): two streams with cross-stream
   // dependencies, so an injected stall or throw sits upstream of work on
-  // the other lane.
+  // the other stream.
   const runtime::Event e1 = issue("fault-a0", &a, runtime::Event{});
   const runtime::Event e2 = issue("fault-b0", &b, runtime::Event{});
   const runtime::Event e3 = issue("fault-a1", &a, e2);
@@ -362,37 +325,18 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
   out.async = ((seed >> 2) & 1) != 0;
-  simt::ScopedSimd simd(((seed >> 5) & 1) != 0);
+  const bool simd_on = ((seed >> 5) & 1) != 0;
+  simt::ScopedSimd simd(simd_on);
+  const auto schedule = static_cast<gravity::WalkSchedule>(seed % 4);
+  out.leg = leg_name(schedule, simd_on, out.async, out.shards);
 
-  nbody::SimConfig sim_cfg = fuzz_sim_config(
-      cfg.rebuild_interval, static_cast<gravity::WalkSchedule>(seed % 4));
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
-  opt.lanes = cfg.lanes;
-  nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed), sim_cfg, opt);
-
-  // One seeded stream controller per shard device, installed between the
-  // constructor's synchronize and the first step (devices are idle here).
-  std::vector<std::unique_ptr<SeededSchedule>> ctrls;
-  for (int s = 0; s < out.shards; ++s) {
-    ctrls.push_back(std::make_unique<SeededSchedule>(
-        seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(s + 1))));
-    sim.shard_device(s).set_schedule_controller(ctrls.back().get());
-  }
+  nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
+                        fuzz_sim_config(cfg.rebuild_interval, schedule), opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-  for (int s = 0; s < out.shards; ++s) {
-    sim.shard_device(s).set_schedule_controller(nullptr);
-    if (s != 0) out.signature += '|';
-    out.signature += ctrls[static_cast<std::size_t>(s)]->signature();
-    out.decision_points +=
-        ctrls[static_cast<std::size_t>(s)]->decision_points();
-    for (const std::string& v :
-         ctrls[static_cast<std::size_t>(s)]->violations()) {
-      out.violations.push_back("shard " + std::to_string(s) + ": " + v);
-    }
-  }
   out.bit_identical = pack_state(sim.particles()) == reference;
   return out;
 }
@@ -405,16 +349,8 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
     const std::uint64_t seed = base_seed + i;
     const ShardRunOutcome out = run_sharded(cfg, seed, ref);
     ++rep.runs;
-    rep.signatures.insert(out.signature);
-    rep.decision_points_total += out.decision_points;
-    if (!out.bit_identical || !out.violations.empty()) {
-      rep.failing_seeds.push_back(seed);
-      append_run_failure(rep,
-                         "seed " + hex_seed(seed) + " (K=" +
-                             std::to_string(out.shards) +
-                             (out.async ? ", async" : ", sync") + ")",
-                         out.bit_identical, out.violations);
-    }
+    rep.legs.insert(out.leg);
+    if (!out.bit_identical) append_divergence(rep, seed, out.leg);
   }
   return rep;
 }
@@ -439,7 +375,7 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
 
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc) {
-  runtime::Device dev(cfg.workers, 0, cfg.lanes);
+  runtime::Device dev(cfg.workers, 0);
   runtime::ScopedDevice scope(dev);
   nbody::Simulation sim(
       sc.make(cfg.n, cfg.workload_seed),
@@ -460,35 +396,20 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
   out.async = ((seed >> 2) & 1) != 0;
-  simt::ScopedSimd simd(((seed >> 5) & 1) != 0);
+  const bool simd_on = ((seed >> 5) & 1) != 0;
+  simt::ScopedSimd simd(simd_on);
+  const auto schedule = static_cast<gravity::WalkSchedule>(seed % 4);
+  out.leg = leg_name(schedule, simd_on, out.async, out.shards);
 
-  nbody::SimConfig sim_cfg = scenario_fuzz_config(
-      sc, cfg.rebuild_interval, static_cast<gravity::WalkSchedule>(seed % 4));
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
-  opt.lanes = cfg.lanes;
-  nbody::Simulation sim(sc.make(cfg.n, cfg.workload_seed), sim_cfg, opt);
-
-  std::vector<std::unique_ptr<SeededSchedule>> ctrls;
-  for (int s = 0; s < out.shards; ++s) {
-    ctrls.push_back(std::make_unique<SeededSchedule>(
-        seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(s + 1))));
-    sim.shard_device(s).set_schedule_controller(ctrls.back().get());
-  }
+  nbody::Simulation sim(sc.make(cfg.n, cfg.workload_seed),
+                        scenario_fuzz_config(sc, cfg.rebuild_interval,
+                                             schedule),
+                        opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-  for (int s = 0; s < out.shards; ++s) {
-    sim.shard_device(s).set_schedule_controller(nullptr);
-    if (s != 0) out.signature += '|';
-    out.signature += ctrls[static_cast<std::size_t>(s)]->signature();
-    out.decision_points +=
-        ctrls[static_cast<std::size_t>(s)]->decision_points();
-    for (const std::string& v :
-         ctrls[static_cast<std::size_t>(s)]->violations()) {
-      out.violations.push_back("shard " + std::to_string(s) + ": " + v);
-    }
-  }
   out.bit_identical = pack_state(sim.particles()) == reference;
   return out;
 }
@@ -514,17 +435,9 @@ SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
     }
     const ScenarioRunOutcome out = run_scenario(cfg, seed, it->second);
     ++rep.runs;
-    rep.signatures.insert(out.scenario + ":" + out.signature);
-    rep.decision_points_total += out.decision_points;
-    if (!out.bit_identical || !out.violations.empty()) {
-      rep.failing_seeds.push_back(seed);
-      append_run_failure(rep,
-                         "seed " + hex_seed(seed) + " (scenario " +
-                             out.scenario + ", K=" +
-                             std::to_string(out.shards) +
-                             (out.async ? ", async" : ", sync") + ")",
-                         out.bit_identical, out.violations);
-    }
+    const std::string leg = out.scenario + ": " + out.leg;
+    rep.legs.insert(leg);
+    if (!out.bit_identical) append_divergence(rep, seed, leg);
   }
   return rep;
 }
@@ -539,7 +452,6 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = -1; // follow GOTHIC_ASYNC — check.sh sweeps both modes
-  opt.lanes = cfg.lanes;
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                         fuzz_sim_config(cfg.rebuild_interval), opt);
   (void)sim.step(); // a healthy step first, so the fault hits steady state

@@ -1,19 +1,15 @@
-// Schedule-fuzz and fault-sweep drivers over Simulation::step.
+// Seeded fuzz and fault-sweep drivers over Simulation::step.
 //
-// One controlled run executes a deterministic workload (fixed particle
-// cloud, fixed rebuild cadence) on a fresh async Device driven by a
-// schedule controller, and compares the final particle state bit-for-bit
-// against the synchronous (GOTHIC_ASYNC=0 semantics) reference run of the
-// identical workload. Two sweep strategies share that runner:
-//
-//  * sweep_seeds — N independent SeededSchedule runs; any failure is
-//    reproducible from the failing 64-bit seed alone (replay_seed).
-//  * enumerate_schedules — depth-first exhaustion of the schedule tree via
-//    ScriptedSchedule::next_path; every run is a distinct interleaving, so
-//    the distinct-signature count lower-bounds the coverage directly.
+// One seeded run executes a deterministic workload (fixed particle cloud,
+// fixed rebuild cadence) on fresh devices in the configuration its seed
+// encodes — walk schedule, SIMD substrate and, for the sharded and
+// scenario legs, async mode and shard count — and compares the final
+// particle state bit-for-bit against the synchronous (GOTHIC_ASYNC=0
+// semantics) reference run of the identical workload. Any failure is
+// reproducible from the failing 64-bit seed alone.
 //
 // sweep_faults drives randomized FaultPlans (launch-body exceptions and
-// lane stalls) through a small cross-stream launch DAG on a raw Device,
+// leader stalls) through a small cross-stream launch DAG on a raw Device,
 // asserting the error contract per plan: exactly one first-wins error, and
 // a reusable device afterwards.
 //
@@ -23,7 +19,6 @@
 #include "nbody/simulation.hpp"
 #include "scenario/registry.hpp"
 #include "testkit/fault.hpp"
-#include "testkit/schedule.hpp"
 
 #include <cstdint>
 #include <set>
@@ -36,7 +31,6 @@ struct FuzzConfig {
   std::size_t n = 192;      ///< particles of the fuzz workload
   int steps = 10;           ///< steps per controlled run
   int workers = 2;          ///< device worker pool
-  int lanes = 2;            ///< stream lanes (pinned, env-independent)
   int rebuild_interval = 1; ///< fixed rebuild cadence (1 = every step)
   std::uint64_t workload_seed = 7; ///< particle-cloud seed
   /// Walk schedule of the run. Numerically invisible by contract, which
@@ -60,30 +54,29 @@ std::vector<real> pack_state(const nbody::Particles& p);
 
 /// Run cfg.steps steps of the fuzz workload on a fresh device and return
 /// the packed final state. `async` false with a null controller is the
-/// synchronous reference; `async` true runs the stream scheduler under
-/// `controller` (may be null for a free-running async run).
+/// synchronous reference; `async` true runs the stream scheduler, with
+/// `controller` (may be null) installed as its fault hook.
 std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
                                  runtime::ScheduleController* controller);
 
-/// Outcome of one controlled schedule run.
+/// Outcome of one seeded run.
 struct RunOutcome {
-  std::string signature;
-  std::size_t decision_points = 0;
+  std::string leg;          ///< the configuration the seed selected
+  std::vector<real> state;  ///< packed final state
   bool bit_identical = false;
-  std::vector<std::string> violations;
 };
 
-/// Replay one seed against a reference state (from run_controlled(cfg,
-/// false, nullptr)). Deterministic: equal seeds yield equal signatures.
+/// Replay one seed on an async device against a reference state (from
+/// run_controlled(cfg, false, nullptr)): walk schedule from seed % 4, SIMD
+/// substrate from (seed >> 4) & 1.
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference);
 
-/// Aggregate of a schedule sweep.
+/// Aggregate of a seeded sweep.
 struct SweepReport {
   std::size_t runs = 0;
-  std::set<std::string> signatures; ///< distinct interleavings executed
-  std::size_t decision_points_total = 0;
-  std::vector<std::uint64_t> failing_seeds; ///< seeded sweeps only
+  std::set<std::string> legs; ///< distinct configurations covered
+  std::vector<std::uint64_t> failing_seeds;
   std::vector<std::string> failures; ///< one line per failing run
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
@@ -91,7 +84,6 @@ struct SweepReport {
 
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count);
-SweepReport enumerate_schedules(const FuzzConfig& cfg, std::size_t max_runs);
 
 /// Launches of the fixed fault DAG run_fault_plan issues (ids 1..k, two
 /// cross-dependent streams). FaultPlans should target ids in this range;
@@ -133,24 +125,21 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 
 // --- Sharded pipeline sweeps ----------------------------------------------
 
-/// Outcome of one sharded controlled run against the plain synchronous
-/// Simulation reference.
+/// Outcome of one sharded run against the plain synchronous Simulation
+/// reference.
 struct ShardRunOutcome {
   int shards = 1;
   bool async = false;
-  std::string signature; ///< per-shard schedule signatures, '|'-joined
-  std::size_t decision_points = 0;
+  std::string leg;
   bool bit_identical = false;
-  std::vector<std::string> violations;
 };
 
 /// Run the fuzz workload through a sharded Simulation. The seed is the full
 /// replay token: walk schedule from seed % 4, async mode from
-/// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3, the
-/// SIMD substrate from (seed >> 5) & 1, and one SeededSchedule stream
-/// controller per shard device derived from (seed, shard). Compares
-/// bit-for-bit against `reference` (from run_controlled(cfg, false,
-/// nullptr) — the unsharded synchronous run).
+/// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3 and the
+/// SIMD substrate from (seed >> 5) & 1. Compares bit-for-bit against
+/// `reference` (from run_controlled(cfg, false, nullptr) — the unsharded
+/// synchronous run).
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference);
 
@@ -164,7 +153,7 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 /// A scenario's SimConfig with the fuzz determinism constraints re-pinned
 /// on top (shared steps, fixed dt and rebuild cadence): the scenario picks
 /// the force law and accuracy, the fuzzer keeps the launch DAG identical
-/// across runs so stream schedules stay the only degree of freedom.
+/// across runs so the seed's configuration is the only degree of freedom.
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
                                       int rebuild_interval,
                                       gravity::WalkSchedule schedule);
@@ -174,15 +163,13 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc);
 
-/// Outcome of one scenario-parameterized controlled run.
+/// Outcome of one scenario-parameterized run.
 struct ScenarioRunOutcome {
   std::string scenario; ///< registry entry the seed selected
   int shards = 1;
   bool async = false;
-  std::string signature;
-  std::size_t decision_points = 0;
+  std::string leg;
   bool bit_identical = false;
-  std::vector<std::string> violations;
 };
 
 /// One scenario leg: the seed is the full replay token — the *scenario*
@@ -191,7 +178,7 @@ struct ScenarioRunOutcome {
 /// shard-count/SIMD bits follow run_sharded's encoding. Compares the
 /// final state bit-for-bit against `reference` (scenario_reference of the
 /// same scenario); a printed seed therefore reproduces workload (ICs +
-/// force law) and schedule together.
+/// force law) and configuration together.
 ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
                                 const std::vector<real>& reference);
 

@@ -50,7 +50,6 @@ void TelemetryWriter::write_config() {
   os_ << "{\"type\": \"config\", \"v\": 1"
       << ", \"async\": " << env_size("GOTHIC_ASYNC", 1)
       << ", \"simd\": " << env_size("GOTHIC_SIMD", 1)
-      << ", \"lanes\": " << env_size("GOTHIC_ASYNC_LANES", 2)
       << ", \"threads\": " << env_size("GOTHIC_THREADS", 0)
       << ", \"shards\": " << env_size("GOTHIC_SHARDS", 1) << "}\n"
       << std::flush;

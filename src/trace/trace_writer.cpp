@@ -96,8 +96,8 @@ void TraceWriter::on_step(const runtime::StepMark& mark) {
 }
 
 void TraceWriter::write(std::ostream& os) const {
-  // Track table: tid 0 is the step-marker track, tids 1.. are the stream
-  // lanes in order of first appearance.
+  // Track table: tid 0 is the step-marker track, tids 1.. are the streams
+  // in order of first appearance.
   std::vector<const char*> streams;
   auto tid_of = [&](const char* stream) {
     for (std::size_t i = 0; i < streams.size(); ++i) {
@@ -208,7 +208,7 @@ void TraceWriter::write(std::ostream& os) const {
                 usec(mark.t_begin) + ",\"args\":{\"ratio\":" +
                 std::to_string(mark.walk_imbalance) + "}");
     // Shard busy-time imbalance and LET traffic counter tracks (sharded
-    // runs only; per-shard launch lanes already exist via the
+    // runs only; per-shard launch tracks already exist via the
     // "shardK/..." stream names).
     if (mark.shards > 0) {
       events.emit(

@@ -5,7 +5,7 @@
 // observes (as a runtime::RecordListener) and converts them to the trace
 // schema on write():
 //
-//  * one track (pid 1, tid >= 1) per stream lane, named after the stream;
+//  * one track (pid 1, tid >= 1) per stream, named after the stream;
 //    each launch body is a duration event ("ph":"X") on its stream's track
 //    carrying the launch id, items, workers and op tallies;
 //  * flow events ("ph":"s"/"f") for every cross-stream dependency edge of

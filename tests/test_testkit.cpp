@@ -1,14 +1,11 @@
-// The testkit itself: deterministic schedule exploration (DFS enumeration,
-// seeded replay), the invariant checks of RecordingController, the fuzz
-// drivers over Simulation::step (bit-identity against the synchronous
-// reference across hundreds of distinct interleavings), fault injection
-// (launch-body exceptions, worker stalls, arena exhaustion) with the
-// first-wins error contract and device reuse, torn-record protection for
-// instrumentation listeners, and the zero-overhead guarantee when no
-// schedule controller is installed.
+// The testkit itself: the seeded fuzz driver over Simulation::step
+// (bit-identity against the synchronous reference, deterministic replay),
+// fault injection (launch-body exceptions, worker stalls, arena
+// exhaustion) with the first-wins error contract and device reuse,
+// torn-record protection for instrumentation listeners, and the
+// zero-overhead guarantee when no schedule controller is installed.
 #include "testkit/fault.hpp"
 #include "testkit/fuzz.hpp"
-#include "testkit/schedule.hpp"
 
 #include "runtime/arena.hpp"
 #include "runtime/device.hpp"
@@ -21,7 +18,6 @@
 #include <mutex>
 #include <new>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -53,7 +49,6 @@ namespace {
 using runtime::Device;
 using runtime::Event;
 using runtime::LaunchDesc;
-using runtime::ReadyLaunch;
 using runtime::Stream;
 
 /// Issue one tagged launch whose body appends its tag to `order`.
@@ -71,163 +66,7 @@ Event issue_tagged(Device& dev, Stream& s, const char* label, int tag,
   });
 }
 
-// --- schedule control: hand-built DAGs ------------------------------------
-
-TEST(ScheduleControl, TwoIndependentChainsEnumerateAllSixInterleavings) {
-  // Streams A and B each carry a 2-chain with no cross dependencies; the
-  // admissible interleavings of two FIFO pairs are C(4,2) = 6, and the DFS
-  // must find exactly those.
-  std::set<std::string> signatures;
-  std::vector<std::size_t> path;
-  int runs = 0;
-  for (;;) {
-    ScriptedSchedule ctrl(path);
-    Device dev(2, 1, 2);
-    dev.set_schedule_controller(&ctrl);
-    Stream a("A");
-    Stream b("B");
-    std::mutex mu;
-    std::vector<int> order;
-    (void)issue_tagged(dev, a, "a1", 1, order, mu);
-    (void)issue_tagged(dev, a, "a2", 2, order, mu);
-    (void)issue_tagged(dev, b, "b1", 3, order, mu);
-    (void)issue_tagged(dev, b, "b2", 4, order, mu);
-    dev.synchronize();
-    ASSERT_TRUE(ctrl.violations().empty()) << ctrl.violations().front();
-    // The grant order the controller recorded is the order the bodies ran.
-    ASSERT_EQ(order.size(), 4u);
-    ASSERT_EQ(ctrl.executed().size(), 4u);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      EXPECT_EQ(static_cast<std::uint64_t>(order[i]), ctrl.executed()[i]);
-    }
-    signatures.insert(ctrl.signature());
-    dev.set_schedule_controller(nullptr);
-    ++runs;
-    auto next = ScriptedSchedule::next_path(ctrl.decisions());
-    if (!next) break;
-    path = std::move(*next);
-    ASSERT_LT(runs, 64) << "DFS failed to terminate";
-  }
-  EXPECT_EQ(runs, 6);
-  EXPECT_EQ(signatures.size(), 6u);
-}
-
-TEST(ScheduleControl, SeededReplayReproducesTheExactInterleaving) {
-  auto run = [](std::uint64_t seed) {
-    SeededSchedule ctrl(seed);
-    Device dev(2, 1, 2);
-    dev.set_schedule_controller(&ctrl);
-    Stream a("A");
-    Stream b("B");
-    std::mutex mu;
-    std::vector<int> order;
-    (void)issue_tagged(dev, a, "a1", 1, order, mu);
-    (void)issue_tagged(dev, a, "a2", 2, order, mu);
-    (void)issue_tagged(dev, b, "b1", 3, order, mu);
-    (void)issue_tagged(dev, b, "b2", 4, order, mu);
-    dev.synchronize();
-    EXPECT_TRUE(ctrl.violations().empty());
-    dev.set_schedule_controller(nullptr);
-    return ctrl.signature();
-  };
-  std::set<std::string> distinct;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    const std::string first = run(seed);
-    EXPECT_EQ(first, run(seed)) << "seed " << hex_seed(seed);
-    distinct.insert(first);
-  }
-  // 32 draws over 6 admissible interleavings must hit several of them.
-  EXPECT_GT(distinct.size(), 2u);
-}
-
-TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
-  SeededSchedule ctrl(11);
-  Device dev(2, 1, 2);
-  dev.set_schedule_controller(&ctrl);
-  Stream a("A");
-  std::mutex mu;
-  std::vector<int> order;
-  const Event e1 = issue_tagged(dev, a, "a1", 1, order, mu);
-  (void)issue_tagged(dev, a, "a2", 2, order, mu);
-  e1.wait(); // drives the grant pump until launch 1 completed
-  EXPECT_TRUE(ctrl.is_complete(e1.id));
-  dev.synchronize();
-  EXPECT_TRUE(ctrl.violations().empty());
-  EXPECT_EQ(ctrl.executed().size(), 2u);
-  dev.set_schedule_controller(nullptr);
-}
-
-TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
-  Device dev(2, 1, 2);
-  Stream a("A");
-  std::atomic<bool> release{false};
-  LaunchDesc desc;
-  desc.label = "block";
-  desc.items = 1;
-  desc.stream = &a;
-  (void)dev.launch(desc, [&release](simt::OpCounts&) {
-    while (!release.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-  SeededSchedule ctrl(1);
-  EXPECT_THROW(dev.set_schedule_controller(&ctrl), std::logic_error);
-  release.store(true, std::memory_order_relaxed);
-  dev.synchronize();
-  dev.set_schedule_controller(&ctrl); // idle now: accepted
-  dev.set_schedule_controller(nullptr);
-}
-
-TEST(ScheduleControl, RecordingControllerFlagsStreamReordering) {
-  // The invariant checks themselves must fire: offering a launch that is
-  // not its lane's FIFO head (a stream reorder) is a violation.
-  SeededSchedule ctrl(1);
-  ctrl.on_enqueue(0, 1);
-  ctrl.on_enqueue(0, 2);
-  const ReadyLaunch wrong{0, 2, {0, 0, 0, 0}};
-  (void)ctrl.pick(std::span<const ReadyLaunch>(&wrong, 1));
-  ASSERT_FALSE(ctrl.violations().empty());
-  EXPECT_NE(ctrl.violations().front().find("head of lane"), std::string::npos);
-}
-
-TEST(ScheduleControl, RecordingControllerFlagsDependencyInversion) {
-  SeededSchedule ctrl(1);
-  ctrl.on_enqueue(0, 1);
-  ctrl.on_enqueue(1, 2);
-  // Launch 2 offered while its dependency (1) has not completed.
-  const ReadyLaunch inverted{1, 2, {1, 0, 0, 0}};
-  (void)ctrl.pick(std::span<const ReadyLaunch>(&inverted, 1));
-  ASSERT_FALSE(ctrl.violations().empty());
-  EXPECT_NE(ctrl.violations().front().find("before dependency"),
-            std::string::npos);
-}
-
-TEST(ScheduleControl, NextPathWalksTheDecisionTreeDepthFirst) {
-  using D = ScriptedSchedule::Decision;
-  auto n1 = ScriptedSchedule::next_path({D{0, 2}, D{1, 2}});
-  ASSERT_TRUE(n1.has_value());
-  EXPECT_EQ(*n1, (std::vector<std::size_t>{1}));
-  auto n2 = ScriptedSchedule::next_path({D{0, 3}, D{0, 2}});
-  ASSERT_TRUE(n2.has_value());
-  EXPECT_EQ(*n2, (std::vector<std::size_t>{0, 1}));
-  EXPECT_FALSE(ScriptedSchedule::next_path({D{1, 2}, D{1, 2}}).has_value());
-  EXPECT_FALSE(ScriptedSchedule::next_path({}).has_value());
-}
-
-// --- schedule fuzzing over Simulation::step -------------------------------
-
-TEST(ScheduleFuzz, EnumerationCoversHundredsOfDistinctInterleavings) {
-  // The acceptance gate: >= 256 distinct recorded interleavings of the
-  // multi-stream step DAG, each bit-identical to the synchronous reference.
-  // With 10 steps at rebuild interval 1 the schedule tree has 2^9 leaves;
-  // 264 DFS runs are 264 distinct interleavings.
-  const FuzzConfig cfg;
-  const SweepReport rep = enumerate_schedules(cfg, 264);
-  EXPECT_EQ(rep.runs, 264u);
-  EXPECT_GE(rep.signatures.size(), 256u);
-  EXPECT_GT(rep.decision_points_total, rep.runs); // multi-decision schedules
-  EXPECT_TRUE(rep.ok()) << rep.failures.front();
-}
+// --- seeded fuzzing over Simulation::step --------------------------------
 
 TEST(ScheduleFuzz, SeededSweepIsCleanAndSeedsReplayDeterministically) {
   FuzzConfig cfg;
@@ -235,15 +74,15 @@ TEST(ScheduleFuzz, SeededSweepIsCleanAndSeedsReplayDeterministically) {
   const SweepReport rep = sweep_seeds(cfg, 0x5eed, 24);
   EXPECT_EQ(rep.runs, 24u);
   EXPECT_TRUE(rep.failing_seeds.empty());
-  EXPECT_GT(rep.signatures.size(), 1u);
+  EXPECT_GT(rep.legs.size(), 1u);
   EXPECT_TRUE(rep.ok()) << rep.failures.front();
 
   const std::vector<real> ref = run_controlled(cfg, false, nullptr);
   const RunOutcome once = replay_seed(cfg, 0x5eed, ref);
   const RunOutcome twice = replay_seed(cfg, 0x5eed, ref);
-  EXPECT_EQ(once.signature, twice.signature);
+  EXPECT_EQ(once.leg, twice.leg);
+  EXPECT_EQ(once.state, twice.state);
   EXPECT_TRUE(once.bit_identical);
-  EXPECT_TRUE(once.violations.empty());
 }
 
 // --- fault injection ------------------------------------------------------
@@ -292,8 +131,8 @@ TEST(FaultInjection, MixedThrowAndStallPlanUpholdsTheContract) {
 }
 
 TEST(FaultInjection, StalledSimulationStepsStayBitIdentical) {
-  // Stalls under the free-running engine (no serialization) must only cost
-  // time: the step results remain bit-identical to the sync reference.
+  // Stalls must only cost time: the step results remain bit-identical to
+  // the sync reference.
   FuzzConfig cfg;
   cfg.steps = 4;
   const std::vector<real> ref = run_controlled(cfg, false, nullptr);
@@ -321,7 +160,7 @@ TEST(FaultInjection, ArenaExhaustionFailsAllocationAndArenaRecovers) {
 }
 
 TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   Stream a("A");
   LaunchDesc desc;
   desc.label = "arena-fault";
@@ -366,7 +205,7 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   plan.throw_at = {2};
   FaultController ctrl(plan);
   CollectingListener listener;
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   dev.sink().set_listener(&listener);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
@@ -388,13 +227,59 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   EXPECT_EQ(listener.ids.size(), 4u); // exactly once each
 }
 
+// --- controller installation ----------------------------------------------
+
+TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
+  // Event::wait() returns only once its launch's body ran, with a
+  // controller installed and a later launch still queued behind it.
+  FaultController ctrl(FaultPlan{});
+  Device dev(2, 1);
+  dev.set_schedule_controller(&ctrl);
+  Stream a("A");
+  std::mutex mu;
+  std::vector<int> order;
+  const Event e1 = issue_tagged(dev, a, "a1", 1, order, mu);
+  (void)issue_tagged(dev, a, "a2", 2, order, mu);
+  e1.wait();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    ASSERT_FALSE(order.empty());
+    EXPECT_EQ(order.front(), 1);
+  }
+  dev.synchronize();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[1], 2);
+  dev.set_schedule_controller(nullptr);
+}
+
+TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
+  Device dev(2, 1);
+  Stream a("A");
+  std::atomic<bool> release{false};
+  LaunchDesc desc;
+  desc.label = "block";
+  desc.items = 1;
+  desc.stream = &a;
+  (void)dev.launch(desc, [&release](simt::OpCounts&) {
+    while (!release.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  FaultController ctrl(FaultPlan{});
+  EXPECT_THROW(dev.set_schedule_controller(&ctrl), std::logic_error);
+  release.store(true, std::memory_order_relaxed);
+  dev.synchronize();
+  dev.set_schedule_controller(&ctrl); // idle now: accepted
+  dev.set_schedule_controller(nullptr);
+}
+
 // --- zero overhead when no controller is installed ------------------------
 
 TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
   // The schedule seam must cost nothing when unused: with no controller
   // installed, steady-state async launches perform zero heap allocations
   // (same discipline as the trace layer's zero-overhead guarantee).
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   ASSERT_EQ(dev.schedule_controller(), nullptr);
   Stream a("A");
   Stream b("B");
@@ -412,7 +297,7 @@ TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
     }
     dev.synchronize();
   };
-  for (int i = 0; i < 4; ++i) round(); // warm-up: nodes, lanes, interning
+  for (int i = 0; i < 4; ++i) round(); // warm-up: nodes, interning
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 8; ++i) round();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);

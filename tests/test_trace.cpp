@@ -361,7 +361,7 @@ TEST(TraceWriter, SerializesSyntheticDagWithFlows) {
     }
   }
   EXPECT_EQ(x, 3);
-  EXPECT_EQ(x_tids.size(), 2u); // one track per stream lane
+  EXPECT_EQ(x_tids.size(), 2u); // one track per stream
   EXPECT_EQ(s, 1);              // only the cross-stream edge draws an arrow
   EXPECT_EQ(f, 1);
   EXPECT_EQ(flow_ids.count("2->3"), 1u);

@@ -20,13 +20,14 @@
 # against the archived trajectory in bench-results/ (and self-tests with
 # a synthetic slowdown) before promoting them.
 #
-# The fuzz stage drives gothic_fuzz — seeded + exhaustively enumerated
-# interleavings of the step DAG checked bit-identical against the
-# synchronous reference, plus fault-injection plans (launch-body throws,
-# worker stalls) checked for first-wins error propagation and device
-# reuse — under both scheduler modes. Its scenario legs sweep seeds whose
-# bits also select the workload from the scenario registry, so one
-# printed seed reproduces ICs + force law + schedule together.
+# The fuzz stage drives gothic_fuzz — seeded async runs of the step loop
+# (walk schedule and SIMD substrate from the seed) checked bit-identical
+# against the synchronous reference, plus fault-injection plans
+# (launch-body throws, leader stalls) checked for first-wins error
+# propagation and device reuse — under both scheduler modes. Its scenario
+# legs sweep seeds whose bits also select the workload from the scenario
+# registry, so one printed seed reproduces ICs + force law + configuration
+# together. A stale --lanes flag must make gothic_fuzz exit non-zero.
 #
 # The scenario stage runs the physics-oracle matrix (force error vs
 # direct summation, energy drift, momentum balance — parameterized over
@@ -48,8 +49,8 @@
 # The TSan stage rebuilds test_runtime, test_walk_tree, test_service and
 # gothic_fuzz in a separate build tree (build-tsan/) with
 # GOTHIC_SANITIZE=thread and runs them under both scheduler modes,
-# exercising the lane leaders' queue handshake, the cross-stream event
-# waits, the team fork/join, the per-launch merge locks, the
+# exercising the leader's queue handshake, the host's event waits, the
+# team fork/join shared by host and leader, the per-launch merge locks, the
 # fault-injection paths and the session pool's driver handoff under a
 # real data-race detector.
 set -euo pipefail
@@ -88,7 +89,7 @@ assert n == 0, 'trace dropped %d launch records' % n" &&
     rm -f BENCH_fig04_breakdown_macc.json &&
     rm -f smoke_flight*.json &&
     GOTHIC_ASYNC=$mode GOTHIC_FLIGHT=smoke_flight.json \
-      ./tools/gothic_fuzz --schedules=0 --enumerate=0 --faults=4 \
+      ./tools/gothic_fuzz --schedules=0 --faults=4 \
         >/dev/null &&
     python3 -c "
 import json
@@ -161,16 +162,22 @@ for simd in 1 0; do
 done
 echo "SIMD stage passed"
 
-echo "== schedule fuzz + fault injection (both scheduler modes) =="
-# Seeded sweep (64 schedules), DFS enumeration, and 8 fault plans; every
-# failing seed prints a gothic_fuzz --replay line. GOTHIC_ASYNC only
-# selects the ambient scheduler — the fuzzer constructs its own devices —
-# so running both modes checks the harness is environment-independent.
+echo "== seeded fuzz + fault injection (both scheduler modes) =="
+# Seeded sweep (64 runs) and 8 fault plans; every failing seed prints a
+# gothic_fuzz --replay line. GOTHIC_ASYNC only selects the ambient
+# scheduler — the fuzzer constructs its own devices — so running both
+# modes checks the harness is environment-independent.
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
   GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=64 \
-    --enumerate=64 --faults=8 --scenarios=6
+    --faults=8 --scenarios=6
 done
+# Devices have one FIFO lane; the removed --lanes flag must fail loudly.
+if ./build/tools/gothic_fuzz --schedules=0 --faults=0 --lanes=2 \
+    >/dev/null 2>&1; then
+  echo "gothic_fuzz accepted the removed --lanes flag" >&2
+  exit 1
+fi
 echo "fuzz stage passed"
 
 echo "== shard stage: K-shard bit-identity + LET traffic (both scheduler modes) =="
@@ -179,9 +186,9 @@ echo "== shard stage: K-shard bit-identity + LET traffic (both scheduler modes) 
 # bit-identity suite (>= 8 steps, rebuilds included); bench_shard re-runs
 # the oracle on the M31 workload and must emit a golden-schema
 # BENCH_shard.json reporting busy-time imbalance and LET traffic; the
-# sharded fuzz legs drive seeded per-shard-device schedules plus launch
-# faults injected into one shard (one shard's failure must not poison the
-# other shards' devices).
+# sharded fuzz legs drive seeded sharded runs plus launch faults injected
+# into one shard (one shard's failure must not poison the other shards'
+# devices).
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
   (cd build &&

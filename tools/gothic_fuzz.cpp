@@ -1,20 +1,20 @@
-// gothic_fuzz — schedule fuzzer and fault-injection driver for the async
+// gothic_fuzz — seeded fuzzer and fault-injection driver for the async
 // launch engine (see DESIGN.md, "Testing & fault model").
 //
-// Three legs, each optional:
-//   --schedules=N   seeded sweep: N random interleavings of the step DAG,
-//                   each compared bit-for-bit against the synchronous
+// Legs, each optional:
+//   --schedules=N   seeded sweep: N async runs of the step loop, each seed
+//                   selecting the walk schedule and SIMD substrate, each
+//                   compared bit-for-bit against the synchronous
 //                   reference. A failing run prints its 64-bit seed; that
-//                   seed alone reproduces the exact interleaving.
-//   --enumerate=N   depth-first enumeration of the schedule tree (up to N
-//                   runs) — every run is a distinct interleaving.
-//   --faults=N      N randomized fault plans (launch-body exceptions, lane
-//                   stalls) through a cross-stream DAG, asserting the error
-//                   contract: one first-wins error, device reusable after.
-//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode and
-//                   walk schedule from the seed, one schedule controller
-//                   per shard device), each compared bit-for-bit against
-//                   the unsharded synchronous reference.
+//                   seed alone reproduces the exact run.
+//   --faults=N      N randomized fault plans (launch-body exceptions,
+//                   leader stalls) through a cross-stream DAG, asserting
+//                   the error contract: one first-wins error, device
+//                   reusable after.
+//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode, walk
+//                   schedule and SIMD substrate from the seed), each
+//                   compared bit-for-bit against the unsharded synchronous
+//                   reference.
 //   --shard-faults=N  N launch-body throws injected into one shard of a
 //                   sharded step (devices follow GOTHIC_ASYNC), asserting
 //                   the isolation contract: the fault surfaces from step()
@@ -22,7 +22,7 @@
 //   --service=N     N seeded session-pool runs: each seed builds a
 //                   SessionManager (pool shape, mixed scenario batch and
 //                   fault family from the seed), injects launch throws /
-//                   lane stalls / arena OOM, and asserts the session
+//                   leader stalls / arena OOM, and asserts the session
 //                   isolation contract — every survivor bit-identical to
 //                   its solo run, every failure carried by one session.
 //   --scenarios=N   N seeded scenario runs: each seed hashes to a
@@ -31,13 +31,13 @@
 //                   substrate in its bits, compared bit-for-bit against
 //                   that scenario's synchronous reference.
 //
-//   --replay=SEED   re-run one seeded schedule (accepts 0x... hex) and
-//                   print its interleaving — the repro entry point.
+//   --replay=SEED   re-run one seeded run (accepts 0x... hex) and print
+//                   its configuration — the repro entry point.
 //   --replay-scenario=SEED  re-run one scenario seed the same way.
 //
-// Workload knobs (--n, --steps, --workers, --lanes, --rebuild-interval)
-// must match between a failing sweep and its replay. Exit code 0 iff every
-// leg passed.
+// Workload knobs (--n, --steps, --workers, --rebuild-interval) must match
+// between a failing sweep and its replay. Unknown options exit 2. Exit
+// code 0 iff every leg passed.
 #include "service/fuzz.hpp"
 #include "testkit/fuzz.hpp"
 #include "util/args.hpp"
@@ -60,19 +60,14 @@ int run(const gothic::Args& args) {
   cfg.n = static_cast<std::size_t>(args.get_int("n", 192));
   cfg.steps = static_cast<int>(args.get_int("steps", 10));
   cfg.workers = static_cast<int>(args.get_int("workers", 2));
-  cfg.lanes = static_cast<int>(args.get_int("lanes", 2));
   cfg.rebuild_interval =
       static_cast<int>(args.get_int("rebuild-interval", 1));
   const std::uint64_t base_seed =
       std::stoull(args.get("seed", "1"), nullptr, 0);
   const bool scenario_leg =
       args.has("scenarios") || args.has("replay-scenario");
-  const auto schedules = static_cast<std::size_t>(args.get_int(
-      "schedules", args.has("enumerate") || args.has("replay") || scenario_leg
-                       ? 0
-                       : 64));
-  const auto enumerate =
-      static_cast<std::size_t>(args.get_int("enumerate", 0));
+  const auto schedules = static_cast<std::size_t>(
+      args.get_int("schedules", args.has("replay") || scenario_leg ? 0 : 64));
   const auto faults = static_cast<std::size_t>(args.get_int(
       "faults", args.has("replay") || scenario_leg ? 0 : 8));
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
@@ -95,46 +90,32 @@ int run(const gothic::Args& args) {
     return 2;
   }
 
-  std::printf("gothic_fuzz: n=%zu steps=%d workers=%d lanes=%d rebuild=%d\n",
-              cfg.n, cfg.steps, cfg.workers, cfg.lanes, cfg.rebuild_interval);
+  std::printf("gothic_fuzz: n=%zu steps=%d workers=%d rebuild=%d\n", cfg.n,
+              cfg.steps, cfg.workers, cfg.rebuild_interval);
   bool ok = true;
 
   if (replay) {
     const auto ref = gothic::testkit::run_controlled(cfg, false, nullptr);
     const auto out = gothic::testkit::replay_seed(cfg, replay_seed_value, ref);
-    std::printf("replay %s: %zu decision points, %s, %zu violations\n",
-                hex_seed(replay_seed_value).c_str(), out.decision_points,
-                out.bit_identical ? "bit-identical" : "STATE DIVERGED",
-                out.violations.size());
-    std::printf("  interleaving: %s\n", out.signature.c_str());
-    print_failures(out.violations);
-    ok = ok && out.bit_identical && out.violations.empty();
+    std::printf("replay %s: %s, %s\n", hex_seed(replay_seed_value).c_str(),
+                out.leg.c_str(),
+                out.bit_identical ? "bit-identical" : "STATE DIVERGED");
+    ok = ok && out.bit_identical;
   }
 
   if (schedules > 0) {
     const auto rep = gothic::testkit::sweep_seeds(cfg, base_seed, schedules);
-    std::printf(
-        "schedules: %zu seeded runs from %s, %zu distinct interleavings, "
-        "%zu decision points, %zu failures\n",
-        rep.runs, hex_seed(base_seed).c_str(), rep.signatures.size(),
-        rep.decision_points_total, rep.failures.size());
+    std::printf("schedules: %zu seeded runs from %s, %zu distinct legs, "
+                "%zu failures\n",
+                rep.runs, hex_seed(base_seed).c_str(), rep.legs.size(),
+                rep.failures.size());
     print_failures(rep.failures);
     for (std::uint64_t s : rep.failing_seeds) {
       std::printf("  replay with: gothic_fuzz --replay=%s --n=%zu --steps=%d "
-                  "--workers=%d --lanes=%d --rebuild-interval=%d\n",
+                  "--workers=%d --rebuild-interval=%d\n",
                   hex_seed(s).c_str(), cfg.n, cfg.steps, cfg.workers,
-                  cfg.lanes, cfg.rebuild_interval);
+                  cfg.rebuild_interval);
     }
-    ok = ok && rep.ok();
-  }
-
-  if (enumerate > 0) {
-    const auto rep = gothic::testkit::enumerate_schedules(cfg, enumerate);
-    std::printf("enumerate: %zu runs, %zu distinct interleavings, "
-                "%zu decision points, %zu failures\n",
-                rep.runs, rep.signatures.size(), rep.decision_points_total,
-                rep.failures.size());
-    print_failures(rep.failures);
     ok = ok && rep.ok();
   }
 
@@ -152,9 +133,9 @@ int run(const gothic::Args& args) {
     const auto rep =
         gothic::testkit::sweep_shard_seeds(cfg, base_seed, shards);
     std::printf("shards: %zu seeded sharded runs from %s, %zu distinct "
-                "interleavings, %zu decision points, %zu failures\n",
-                rep.runs, hex_seed(base_seed).c_str(), rep.signatures.size(),
-                rep.decision_points_total, rep.failures.size());
+                "legs, %zu failures\n",
+                rep.runs, hex_seed(base_seed).c_str(), rep.legs.size(),
+                rep.failures.size());
     print_failures(rep.failures);
     ok = ok && rep.ok();
   }
@@ -162,32 +143,26 @@ int run(const gothic::Args& args) {
   if (replay_scenario) {
     const auto out =
         gothic::testkit::replay_scenario_seed(cfg, replay_scenario_seed);
-    std::printf("replay-scenario %s: scenario %s, K=%d, %s, %zu decision "
-                "points, %s, %zu violations\n",
+    std::printf("replay-scenario %s: scenario %s, %s, %s\n",
                 hex_seed(replay_scenario_seed).c_str(), out.scenario.c_str(),
-                out.shards, out.async ? "async" : "sync",
-                out.decision_points,
-                out.bit_identical ? "bit-identical" : "STATE DIVERGED",
-                out.violations.size());
-    std::printf("  interleaving: %s\n", out.signature.c_str());
-    print_failures(out.violations);
-    ok = ok && out.bit_identical && out.violations.empty();
+                out.leg.c_str(),
+                out.bit_identical ? "bit-identical" : "STATE DIVERGED");
+    ok = ok && out.bit_identical;
   }
 
   if (scenarios > 0) {
     const auto rep =
         gothic::testkit::sweep_scenario_seeds(cfg, base_seed, scenarios);
     std::printf("scenarios: %zu seeded runs from %s, %zu distinct "
-                "scenario interleavings, %zu decision points, %zu failures\n",
-                rep.runs, hex_seed(base_seed).c_str(), rep.signatures.size(),
-                rep.decision_points_total, rep.failures.size());
+                "scenario legs, %zu failures\n",
+                rep.runs, hex_seed(base_seed).c_str(), rep.legs.size(),
+                rep.failures.size());
     print_failures(rep.failures);
     for (std::uint64_t s : rep.failing_seeds) {
       std::printf("  replay with: gothic_fuzz --replay-scenario=%s --n=%zu "
-                  "--steps=%d --workers=%d --lanes=%d "
-                  "--rebuild-interval=%d\n",
+                  "--steps=%d --workers=%d --rebuild-interval=%d\n",
                   hex_seed(s).c_str(), cfg.n, cfg.steps, cfg.workers,
-                  cfg.lanes, cfg.rebuild_interval);
+                  cfg.rebuild_interval);
     }
     ok = ok && rep.ok();
   }
@@ -206,7 +181,6 @@ int run(const gothic::Args& args) {
     scfg.n = cfg.n;
     scfg.steps = cfg.steps;
     scfg.workers = cfg.workers;
-    scfg.lanes = cfg.lanes;
     const auto rep =
         gothic::service::sweep_service_faults(scfg, base_seed, service);
     std::printf("service: %zu pooled runs from %s (%zu sessions faulted, "

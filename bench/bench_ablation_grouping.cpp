@@ -40,9 +40,6 @@ int main() {
   }
 
   const auto v100 = perfmodel::tesla_v100();
-  perfmodel::KernelLaunchInfo info;
-  info.resources =
-      perfmodel::kernel_resources(perfmodel::GothicKernel::WalkTree, 512);
 
   Table t("ablation: group compactness floor (M31, N = " +
               std::to_string(scale.n) + ", dacc = 2^-9)",
@@ -58,7 +55,8 @@ int main() {
     gravity::WalkStats stats;
     gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, ax, ay, az, {},
                        &ops, &stats, {}, groups);
-    const double tw = perfmodel::predict_kernel_time(v100, ops, info).total_s;
+    const double tw = perfmodel::gothic_kernel_seconds(
+        v100, perfmodel::GothicKernel::WalkTree, ops);
     t.add_row({"1/" + Table::num(static_cast<long long>(denom)),
                Table::num(static_cast<long long>(groups.size())),
                Table::fix(static_cast<double>(n) / groups.size(), 1),

@@ -54,20 +54,15 @@ int main() {
     gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, ax, ay, az, {},
                        &walk_ops, &stats);
 
-    perfmodel::KernelLaunchInfo walk_info;
-    walk_info.resources =
-        perfmodel::kernel_resources(perfmodel::GothicKernel::WalkTree, 512);
-    perfmodel::KernelLaunchInfo calc_info;
-    calc_info.resources =
-        perfmodel::kernel_resources(perfmodel::GothicKernel::CalcNode, 128);
+    using perfmodel::GothicKernel;
     t.add_row(
         {Table::num(cap), Table::num(tree.num_nodes()),
          Table::sci(static_cast<double>(stats.mac_evals)),
          Table::sci(static_cast<double>(stats.interactions)),
-         Table::sci(
-             perfmodel::predict_kernel_time(v100, walk_ops, walk_info).total_s),
-         Table::sci(
-             perfmodel::predict_kernel_time(v100, calc_ops, calc_info).total_s)});
+         Table::sci(perfmodel::gothic_kernel_seconds(
+             v100, GothicKernel::WalkTree, walk_ops)),
+         Table::sci(perfmodel::gothic_kernel_seconds(
+             v100, GothicKernel::CalcNode, calc_ops))});
   }
   t.print(std::cout);
   std::cout << "expected: node count (and calcNode cost) falls with leaf "

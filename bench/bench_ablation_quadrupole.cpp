@@ -63,9 +63,6 @@ int main() {
                              w.ry, w.rz);
 
   const auto v100 = perfmodel::tesla_v100();
-  perfmodel::KernelLaunchInfo info;
-  info.resources =
-      perfmodel::kernel_resources(perfmodel::GothicKernel::WalkTree, 512);
 
   Table t("ablation: multipole order (M31, N = " + std::to_string(n) + ")",
           {"theta", "order", "median error", "interactions",
@@ -85,8 +82,8 @@ int main() {
       t.add_row({Table::fix(theta, 2), quad ? "mono+quad" : "monopole",
                  Table::sci(median_error(w, ax, ay, az)),
                  Table::sci(static_cast<double>(stats.interactions)),
-                 Table::sci(
-                     perfmodel::predict_kernel_time(v100, ops, info).total_s)});
+                 Table::sci(perfmodel::gothic_kernel_seconds(
+                     v100, perfmodel::GothicKernel::WalkTree, ops))});
     }
   }
   t.print(std::cout);

@@ -29,8 +29,8 @@ int main() {
   for (const double dacc : dacc_sweep(scale.dacc_min_exp)) {
     const StepProfile p = profile_step(init, dacc, scale.steps);
     rep.add_profile(dacc_label(dacc), p);
-    const auto s =
-        perfmodel::expected_speedup(v100, p100, pascal_view(p.walk));
+    const auto s = perfmodel::expected_speedup(v100, p100,
+                                               perfmodel::pascal_view(p.walk));
     const double observed = predict_step_time(p, p100, false).walk /
                             predict_step_time(p, v100, false).walk;
     t.add_row({dacc_label(dacc), Table::fix(s.peak_ratio, 2),

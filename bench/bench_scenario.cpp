@@ -3,10 +3,9 @@
 //
 // For every registry entry (or the subset named on the command line) this
 // bench realises the scenario's initial conditions, applies its force-law
-// configuration on a fixed rebuild cadence, advances GOTHIC_BENCH_STEPS
-// shared steps, and writes BENCH_scenario_<name>.json whose scale
-// fingerprint carries the scenario name and force law — so the bench_diff
-// perf gate compares like with like and refuses cross-scenario diffs.
+// configuration with the auto-tuned rebuild cadence, advances
+// GOTHIC_BENCH_STEPS shared steps, and writes BENCH_scenario_<name>.json
+// whose scale fingerprint carries the scenario name and force law.
 //
 //   bench_scenario [name...]     default: the whole registry
 //
@@ -61,11 +60,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const scenario::Scenario& sc : selected) {
     nbody::SimConfig cfg = scenario_sim_config(sc);
-    // Fixed cadence and shared steps: reports stay comparable run-to-run
-    // regardless of host timing (same contract as bench_shard).
+    // Shared steps: every particle fires every step.
     cfg.block_time_steps = false;
-    cfg.auto_rebuild = false;
-    cfg.fixed_rebuild_interval = 4;
 
     const Stopwatch make_clock;
     nbody::Particles ic = sc.make(scale.n, sc.default_seed);

@@ -49,7 +49,6 @@ int main() {
     sc.n = n;
     sc.seed = 1 + static_cast<std::uint64_t>(i);
     sc.steps = steps;
-    sc.rebuild_interval = 4;
     batch.push_back(sc);
     reference.push_back(solo_final_state(sc));
   }

@@ -85,7 +85,7 @@ int main() {
       for (const int tsub : perfmodel::tsub_candidates()) {
         simt::OpCounts ops =
             (k == GothicKernel::CalcNode) ? calc_counts[tsub] : base;
-        double t = modelled_time(gpu, k, ttot, pascal_view(ops));
+        double t = modelled_time(gpu, k, ttot, perfmodel::pascal_view(ops));
         if (k == GothicKernel::CalcNode) {
           // Narrow tiles serialise a 16-body leaf into more dependent
           // chunks (latency the count-based model cannot see).

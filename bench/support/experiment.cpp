@@ -151,30 +151,16 @@ StepProfile profile_step(const nbody::Particles& init, double dacc,
   // GOTHIC's auto-tuned rebuild interval k* = sqrt(2 T_make / (alpha
   // T_walk)) from the modelled V100 times of the two kernels (§4.1: ~6
   // steps at the highest accuracy, ~30 at the lowest).
+  using perfmodel::GothicKernel;
   const auto v100 = perfmodel::tesla_v100();
-  perfmodel::KernelLaunchInfo make_info;
-  make_info.resources =
-      perfmodel::kernel_resources(perfmodel::GothicKernel::MakeTree, 512);
-  perfmodel::KernelLaunchInfo walk_info;
-  walk_info.resources =
-      perfmodel::kernel_resources(perfmodel::GothicKernel::WalkTree, 512);
-  const double t_make =
-      perfmodel::predict_kernel_time(v100, pascal_view(p.make_raw), make_info)
-          .total_s;
-  const double t_walk =
-      perfmodel::predict_kernel_time(v100, pascal_view(p.walk), walk_info)
-          .total_s;
+  const double t_make = perfmodel::gothic_kernel_seconds(
+      v100, GothicKernel::MakeTree, perfmodel::pascal_view(p.make_raw));
+  const double t_walk = perfmodel::gothic_kernel_seconds(
+      v100, GothicKernel::WalkTree, perfmodel::pascal_view(p.walk));
   const double k =
       std::sqrt(2.0 * t_make / (kWalkDecayPerStep * std::max(t_walk, 1e-12)));
   p.rebuild_interval = std::clamp(k, 2.0, 64.0);
   return p;
-}
-
-simt::OpCounts pascal_view(const simt::OpCounts& volta_counts) {
-  simt::OpCounts c = volta_counts;
-  c.syncwarp = 0;
-  c.tile_sync = 0;
-  return c;
 }
 
 GpuStepTime predict_step_time(const StepProfile& p,
@@ -182,19 +168,10 @@ GpuStepTime predict_step_time(const StepProfile& p,
                               bool volta_mode) {
   using perfmodel::GothicKernel;
   const bool use_sync = volta_mode && gpu.arch == perfmodel::Arch::Volta;
-  auto view = [use_sync](const simt::OpCounts& c) {
-    return use_sync ? c : pascal_view(c);
-  };
-
   auto time_of = [&](const simt::OpCounts& ops, GothicKernel k,
                      int invocations) {
-    perfmodel::KernelLaunchInfo info;
-    // Table 2 thread-block sizes (V100 column; the P100 optimum differs
-    // only for calcNode's Ttot, a second-order effect on the model).
-    const int ttot = (k == GothicKernel::CalcNode) ? 128 : 512;
-    info.resources = perfmodel::kernel_resources(k, ttot);
-    info.invocations = invocations;
-    return perfmodel::predict_kernel_time(gpu, view(ops), info).total_s;
+    return perfmodel::gothic_kernel_seconds(
+        gpu, k, use_sync ? ops : perfmodel::pascal_view(ops), invocations);
   };
 
   GpuStepTime t;

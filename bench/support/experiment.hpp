@@ -77,9 +77,6 @@ StepProfile profile_step(const nbody::Particles& init, double dacc,
                          int steps, int list_capacity = 128,
                          runtime::RecordListener* listener = nullptr);
 
-/// Strip the synchronisation events: the Pascal-mode view of a profile.
-simt::OpCounts pascal_view(const simt::OpCounts& volta_counts);
-
 /// Predicted per-step kernel times on one GPU.
 struct GpuStepTime {
   double walk = 0, calc = 0, make = 0, pred = 0;

@@ -25,9 +25,8 @@ public:
 
   void set_scale(const BenchScale& scale);
   /// Scale with the scenario matrix fingerprint: appends "scenario" (the
-  /// registry entry name) and "force" (force_law_name) keys, so
-  /// bench_diff refuses to compare reports from different scenarios (the
-  /// baseline store folds every scale key into its fingerprint).
+  /// registry entry name) and "force" (force_law_name) keys, so a reader
+  /// comparing reports can tell the workloads apart.
   void set_scale(const BenchScale& scale, const std::string& scenario,
                  const std::string& force);
   /// Serialise a printed table verbatim (title, headers, string rows).

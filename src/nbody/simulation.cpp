@@ -1,6 +1,7 @@
 #include "nbody/simulation.hpp"
 
 #include "nbody/integrator.hpp"
+#include "perfmodel/tuning.hpp"
 
 #include <cmath>
 #include <cstring>
@@ -8,6 +9,20 @@
 #include <stdexcept>
 
 namespace gothic::nbody {
+
+namespace {
+
+/// What the rebuild auto-tuner is fed: the V100 seconds the §4.2 execution
+/// model predicts for a kernel's counted ops — a pure function of the
+/// state, so the rebuild cadence is too. The Pascal view drops the
+/// syncwarp/tile-sync counts, the only fields ExecMode changes, so both
+/// modes tune alike.
+double modelled_seconds(perfmodel::GothicKernel k, const simt::OpCounts& ops) {
+  static const perfmodel::GpuSpec v100 = perfmodel::tesla_v100();
+  return perfmodel::gothic_kernel_seconds(v100, k, perfmodel::pascal_view(ops));
+}
+
+} // namespace
 
 /// One shard: a device with its own streams, a contiguous body/group
 /// range of the global decomposition and its launch records. For K > 1
@@ -238,14 +253,14 @@ double Simulation::step_make_seconds() const {
   // letImport launches share Kernel::MakeTree (they are tree-data motion,
   // not walk/calc work) — filter by label so the rebuild auto-tuner only
   // sees the build + permute cost.
-  double s = 0.0;
+  simt::OpCounts ops;
   for (const runtime::LaunchRecord& rec : shards_[0]->sink.step_records()) {
     if (rec.kernel == Kernel::MakeTree &&
         std::strncmp(rec.label, "makeTree", 8) == 0) {
-      s += rec.seconds;
+      ops += rec.ops;
     }
   }
-  return s;
+  return modelled_seconds(perfmodel::GothicKernel::MakeTree, ops);
 }
 
 void Simulation::bootstrap_forces() {
@@ -704,7 +719,7 @@ StepReport Simulation::step() {
     std::rethrow_exception(first_error);
   }
 
-  // --- harvest: the rebuild and walk costs feed the interval auto-tuner,
+  // --- harvest: the rebuild and walk ops feed the interval auto-tuner,
   // and the report's per-kernel seconds/ops are the step's records ------
   last_stats_.busy_seconds.assign(static_cast<std::size_t>(k), 0.0);
   last_stats_.let_cells.assign(static_cast<std::size_t>(k), 0);
@@ -713,7 +728,7 @@ StepReport Simulation::step() {
   last_stats_.let_cells_total = 0;
   last_stats_.let_bodies_total = 0;
 
-  double walk_seconds = 0.0;
+  simt::OpCounts walk_ops;
   double busy_sum = 0.0;
   double mark_lo = 0.0;
   double mark_hi = 0.0;
@@ -730,7 +745,7 @@ StepReport Simulation::step() {
       report.ops[ki] += rec.ops;
       timers_.add(rec.kernel, rec.seconds);
       ops_[ki] += rec.ops;
-      if (rec.kernel == Kernel::WalkTree) walk_seconds += rec.seconds;
+      if (rec.kernel == Kernel::WalkTree) walk_ops += rec.ops;
       busy += rec.seconds;
       if (first || rec.t_begin < lo) lo = rec.t_begin;
       if (first || rec.t_end > hi) hi = rec.t_end;
@@ -762,7 +777,10 @@ StepReport Simulation::step() {
   last_stats_.busy_mean = busy_sum / static_cast<double>(k);
   if (sharded) scatter_body_cost();
   if (report.rebuilt) policy_.record_rebuild(step_make_seconds());
-  policy_.record_walk(walk_seconds);
+  // Every shard's walk ops summed and modelled as one launch: the same
+  // seconds for every K, so the cadence is shard-count invariant too.
+  policy_.record_walk(
+      modelled_seconds(perfmodel::GothicKernel::WalkTree, walk_ops));
 
   report.time = steps_.time();
   if (listener_ != nullptr) {

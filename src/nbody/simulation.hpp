@@ -45,7 +45,8 @@ struct SimConfig {
   /// false = shared global time step (every particle fires every step).
   bool block_time_steps = true;
 
-  /// true = GOTHIC's auto-tuned rebuild interval; false = fixed interval.
+  /// true = GOTHIC's auto-tuned rebuild interval (fed modelled V100
+  /// seconds, so deterministic); false = fixed interval.
   bool auto_rebuild = true;
   int fixed_rebuild_interval = 8;
   RebuildPolicy::Config policy{};
@@ -283,8 +284,9 @@ private:
   /// into the flight recorder and dump with `reason`. No-op when
   /// GOTHIC_FLIGHT is unset.
   void dump_flight(const std::string& reason);
-  /// Sum of makeTree/makeTree(permute) record seconds of shard 0's
-  /// current phase (excludes letImport, which shares Kernel::MakeTree).
+  /// Modelled V100 seconds of the makeTree/makeTree(permute) records of
+  /// shard 0's current phase (excludes letImport, which shares
+  /// Kernel::MakeTree).
   [[nodiscard]] double step_make_seconds() const;
   /// Scatter the global group costs back to per-body costs (uniform
   /// within a group) — K > 1's cost signal across reorderings.

@@ -60,6 +60,13 @@ KernelTiming predict_kernel_time(const GpuSpec& gpu,
   return t;
 }
 
+simt::OpCounts pascal_view(const simt::OpCounts& volta_counts) {
+  simt::OpCounts c = volta_counts;
+  c.syncwarp = 0;
+  c.tile_sync = 0;
+  return c;
+}
+
 double sustained_tflops(const simt::OpCounts& ops, double elapsed_s,
                         double sfu_flops) {
   if (elapsed_s <= 0.0) return 0.0;

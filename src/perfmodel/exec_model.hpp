@@ -73,6 +73,10 @@ inline constexpr double kGlobalBarrierSeconds = 1.5e-6;
                                                const simt::OpCounts& ops,
                                                const KernelLaunchInfo& info);
 
+/// The Pascal-mode view of Volta-mode counts: the same arithmetic with the
+/// synchronisation events (the only fields ExecMode changes) cleared.
+[[nodiscard]] simt::OpCounts pascal_view(const simt::OpCounts& volta_counts);
+
 /// Sustained single-precision performance (TFlop/s) implied by counts and
 /// a time, with the paper's rsqrt = 4 Flop convention (Figs 9-10).
 [[nodiscard]] double sustained_tflops(const simt::OpCounts& ops,

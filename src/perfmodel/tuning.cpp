@@ -53,6 +53,15 @@ KernelResources kernel_resources(GothicKernel k, int ttot) {
   return r;
 }
 
+double gothic_kernel_seconds(const GpuSpec& gpu, GothicKernel k,
+                             const simt::OpCounts& ops, int invocations) {
+  KernelLaunchInfo info;
+  info.resources =
+      kernel_resources(k, k == GothicKernel::CalcNode ? 128 : 512);
+  info.invocations = invocations;
+  return predict_kernel_time(gpu, ops, info).total_s;
+}
+
 double block_shape_penalty(const GpuSpec& gpu, int ttot) {
   // Per-block scheduling/launch overhead dominates tiny blocks; block-wide
   // synchronisation granularity (more warps stalled per __syncthreads)

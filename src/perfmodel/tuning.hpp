@@ -27,6 +27,14 @@ enum class GothicKernel { WalkTree, CalcNode, MakeTree, Predict, Correct };
 /// list lives in shared memory, §1).
 [[nodiscard]] KernelResources kernel_resources(GothicKernel k, int ttot);
 
+/// Modelled seconds of `invocations` launches of kernel `k` executing
+/// `ops` on `gpu` at its Table 2 thread-block size (V100 column: calcNode
+/// Ttot = 128, every other kernel 512; the P100 optimum differs only for
+/// calcNode, a second-order effect on the model).
+[[nodiscard]] double gothic_kernel_seconds(const GpuSpec& gpu, GothicKernel k,
+                                           const simt::OpCounts& ops,
+                                           int invocations = 1);
+
 /// Multiplicative slowdown from block shape (1.0 = ideal).
 [[nodiscard]] double block_shape_penalty(const GpuSpec& gpu, int ttot);
 

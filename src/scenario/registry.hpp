@@ -50,7 +50,7 @@ struct Scenario {
   /// Apply the scenario's force law and accuracy defaults to a SimConfig
   /// (walk.law/lj/eps/mac, eta/dt; sets cfg.scenario = name). Fields the
   /// scenario does not own (schedules, rebuild policy, block steps) are
-  /// left untouched so callers keep their own determinism constraints.
+  /// left untouched so callers keep their own cadence and stepping.
   std::function<void(nbody::SimConfig&)> configure;
 };
 

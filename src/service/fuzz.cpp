@@ -52,7 +52,6 @@ ServiceFaultOutcome run_service_fault(const ServiceFuzzConfig& cfg,
     sc.n = cfg.n;
     sc.seed = (sbits >> 8) | 1; // nonzero: keep the explicit seed
     sc.steps = cfg.steps;
-    sc.rebuild_interval = 2;
     if (i == 0 && ((bits >> 6) & 1) != 0) sc.shards = 2;
     batch.push_back(std::move(sc));
   }
@@ -116,6 +115,7 @@ ServiceFaultOutcome run_service_fault(const ServiceFuzzConfig& cfg,
     const SessionInfo info = mgr.info(ids[i]);
     if (info.state == SessionState::Completed) {
       ++out.completed;
+      out.rebuilds += info.rebuilds;
       if (mgr.final_state(ids[i]) != reference[i]) {
         violation("session " + info.name +
                   " survived but diverged from its solo run");
@@ -152,6 +152,7 @@ ServiceSweepReport sweep_service_faults(const ServiceFuzzConfig& cfg,
     ++rep.runs;
     rep.faulted_sessions += out.failed;
     rep.completed_sessions += out.completed;
+    rep.rebuilds += out.rebuilds;
     if (!out.ok()) rep.failures.push_back(out.detail);
   }
   return rep;

@@ -45,6 +45,7 @@ struct ServiceFaultOutcome {
   int fired = 0;         ///< injected faults that actually hit
   std::size_t failed = 0;
   std::size_t completed = 0;
+  int rebuilds = 0;      ///< tree rebuilds after construction, survivors
   std::string detail;    ///< contract violation (empty when ok)
 
   [[nodiscard]] bool ok() const { return detail.empty(); }
@@ -60,6 +61,7 @@ struct ServiceSweepReport {
   std::size_t runs = 0;
   std::size_t faulted_sessions = 0;
   std::size_t completed_sessions = 0;
+  int rebuilds = 0;
   std::vector<std::string> failures; ///< one line per failing seed
 
   [[nodiscard]] bool ok() const { return failures.empty(); }

@@ -31,12 +31,6 @@ namespace {
 
 nbody::SimConfig session_sim_config(const SessionConfig& cfg) {
   nbody::SimConfig sim = scenario::scenario_sim_config(cfg.scenario);
-  // Determinism pin: the serving bit-identity contract (a pooled session's
-  // final state equals a solo run of the same scenario+seed) forbids the
-  // wall-clock-fed rebuild auto-tuner; everything else in the step loop is
-  // already schedule-invariant by the runtime contracts.
-  sim.auto_rebuild = false;
-  sim.fixed_rebuild_interval = std::max(1, cfg.rebuild_interval);
   sim.stream_prefix = cfg.name.empty() ? std::string() : cfg.name + "/";
   return sim;
 }
@@ -152,6 +146,7 @@ SessionInfo SessionManager::info_locked(const Session& s) const {
   out.state = s.state;
   out.steps_done = s.steps_done;
   out.steps_target = s.cfg.steps;
+  out.rebuilds = s.rebuilds;
   out.busy_seconds = s.busy_seconds;
   out.quota_bytes = s.cfg.arena_quota_bytes;
   out.charged_bytes = s.charged;
@@ -271,6 +266,7 @@ void SessionManager::driver(int device_index) {
     s->vtime += out.seconds;
     s->charged += out.charged_add;
     s->steps_done += out.steps_add;
+    if (out.rebuilt) ++s->rebuilds;
     s->state = out.next;
     if (!out.error.empty()) s->error = out.error;
     if (terminal(out.next)) done_cv_.notify_all();
@@ -369,7 +365,7 @@ SessionManager::Outcome SessionManager::advance(Session& s,
     if (s.engine == nullptr) {
       construct(s); // the first quantum: bootstrap build + forces
     } else {
-      (void)s.engine->step();
+      out.rebuilt = s.engine->step().rebuilt;
       out.steps_add = 1;
     }
     out.seconds = sw.seconds();

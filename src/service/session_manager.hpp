@@ -83,9 +83,6 @@ struct SessionConfig {
   /// 0 = unlimited. Otherwise the session fails once the arena growth
   /// charged to it exceeds this many bytes (reject-on-exceed).
   std::size_t arena_quota_bytes = 0;
-  /// Fixed rebuild cadence of the deterministic session config (the
-  /// wall-clock-fed auto-tuner would break the solo bit-identity oracle).
-  int rebuild_interval = 8;
   /// Per-session observability: non-empty paths attach a trace::Session
   /// (Perfetto trace / JSONL telemetry) for this session only.
   std::string trace_path;
@@ -104,6 +101,7 @@ struct SessionInfo {
   SessionState state = SessionState::Pending;
   int steps_done = 0;
   int steps_target = 0;
+  int rebuilds = 0;               ///< tree rebuilds after construction
   double busy_seconds = 0.0;      ///< measured quantum cost, accumulated
   std::size_t quota_bytes = 0;
   std::size_t charged_bytes = 0;  ///< arena growth charged to the session
@@ -195,6 +193,7 @@ private:
     SessionState state = SessionState::Pending;
     bool stepping = false; ///< claimed by a driver (exclusive ownership)
     int steps_done = 0;
+    int rebuilds = 0;
     double vtime = 0.0;    ///< scheduler key: accumulated measured cost
     double busy_seconds = 0.0;
     std::size_t charged = 0;
@@ -214,6 +213,7 @@ private:
     double seconds = 0.0;
     std::size_t charged_add = 0;
     int steps_add = 0;
+    bool rebuilt = false;
     SessionState next = SessionState::Running;
     std::string error;
   };

@@ -39,9 +39,10 @@ nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed) {
 nbody::SimConfig fuzz_sim_config(int rebuild_interval,
                                  gravity::WalkSchedule schedule) {
   nbody::SimConfig cfg;
-  // Shared global step with a fixed rebuild cadence: every run issues the
-  // identical launch DAG, so stream schedules and the (numerically
-  // invisible) walk schedule are the only degrees of freedom.
+  // Shared global step with a fixed rebuild cadence, for coverage: at fuzz
+  // sizes the auto-tuner's cadence sits at its 64-step cap, so only a
+  // fixed interval puts the makeTree/permute join (racing the in-flight
+  // predicts) into every few steps of a short run.
   cfg.block_time_steps = false;
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;
@@ -363,8 +364,8 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
   nbody::SimConfig cfg = fuzz_sim_config(rebuild_interval, schedule);
   sc.configure(cfg);
   // The scenario owns the force law and accuracy; the fuzzer re-pins the
-  // cadence fields so every run of a scenario issues the identical launch
-  // DAG regardless of what the scenario's production defaults are.
+  // cadence fields so every scenario gets the rebuild-dense coverage above
+  // whatever its production defaults are.
   cfg.block_time_steps = false;
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;

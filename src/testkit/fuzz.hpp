@@ -45,7 +45,7 @@ struct FuzzConfig {
 
 /// Deterministic uniform cloud (equal masses), the fuzz workload.
 nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed);
-/// Deterministic step configuration: fixed cadence, shared global steps.
+/// Fuzz step configuration: fixed rebuild cadence, shared global steps.
 nbody::SimConfig fuzz_sim_config(
     int rebuild_interval,
     gravity::WalkSchedule schedule = gravity::WalkSchedule::CostWeighted);

@@ -1,12 +1,11 @@
 // Minimal JSON DOM parser — shared by the observability consumers that
 // read the machine-written JSON this repo emits: the trace-export and
-// bench-report golden-schema tests, the flight-recorder incident tests,
-// and the tools/bench_diff perf-regression gate (which parses whole
-// BENCH_*.json trees). Strict enough for machine-written JSON; not a
-// general-purpose parser (\u escapes collapse to '?').
+// bench-report golden-schema tests and the flight-recorder incident
+// tests. Strict enough for machine-written JSON; not a general-purpose
+// parser (\u escapes collapse to '?').
 //
-// Header-only and dependency-free so test binaries and the bench support
-// library can both include it without a link edge.
+// Header-only and dependency-free, so any binary can include it without a
+// link edge.
 #pragma once
 
 #include <cctype>

@@ -1,9 +1,9 @@
 // Wall-clock stopwatches and accumulating per-kernel timers.
 //
 // GOTHIC measures the elapsed time of each device function (walkTree,
-// calcNode, makeTree, predict/correct) every step; the auto-tuner for the
-// tree-rebuild interval feeds on those measurements. KernelTimers mirrors
-// that bookkeeping.
+// calcNode, makeTree, predict/correct) every step. KernelTimers mirrors
+// that bookkeeping for reports and telemetry; the rebuild auto-tuner is
+// fed the modelled seconds of the counted ops instead (deterministic).
 #pragma once
 
 #include <array>

@@ -1,6 +1,5 @@
-// Forwarding header: the tests-only JSON DOM parser was promoted to
-// src/util/minijson.hpp so the bench_diff perf gate can reuse it. Existing
-// tests keep spelling `minijson::...`.
+// Forwarding header: the JSON DOM parser lives in src/util/minijson.hpp;
+// tests spell it `minijson::...`.
 #pragma once
 
 #include "util/minijson.hpp"

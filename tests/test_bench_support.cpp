@@ -3,7 +3,6 @@
 // must order the GPUs/modes the way the paper reports, and the
 // BENCH_<name>.json document must keep its published schema (the golden
 // contract downstream replot scripts depend on).
-#include "support/baseline.hpp"
 #include "support/experiment.hpp"
 #include "support/report.hpp"
 #include "trace/metrics.hpp"
@@ -12,10 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 namespace gothic::bench {
@@ -44,7 +40,7 @@ TEST_F(ProfileRig, CountsArePopulatedPerKernel) {
 TEST_F(ProfileRig, VoltaCountsCarrySyncsPascalViewStripsThem) {
   const StepProfile p = profile_step(workload(), 1.0 / 512, 1);
   EXPECT_GT(p.walk.syncwarp, 0u);
-  const simt::OpCounts pas = pascal_view(p.walk);
+  const simt::OpCounts pas = perfmodel::pascal_view(p.walk);
   EXPECT_EQ(pas.syncwarp, 0u);
   EXPECT_EQ(pas.tile_sync, 0u);
   EXPECT_EQ(pas.fp32_fma, p.walk.fp32_fma); // arithmetic untouched
@@ -424,270 +420,6 @@ TEST(ExternalReport, EnvNamedBenchJsonKeepsGoldenSchema) {
                 static_cast<int>(JsonValue::Type::String));
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// bench::BaselineStore + diff_baselines — the bench_diff regression gate.
-
-TEST(BaselineStore, CanonicalKeyStripsOnlyNumericRunSuffixes) {
-  EXPECT_EQ(BaselineStore::canonical_key("BENCH_shard.async0.run3.json"),
-            "BENCH_shard.async0");
-  EXPECT_EQ(BaselineStore::canonical_key("BENCH_balance.run12.json"),
-            "BENCH_balance");
-  EXPECT_EQ(BaselineStore::canonical_key("BENCH_balance.json"),
-            "BENCH_balance");
-  // Non-numeric "run" segments are part of the name, not a repeat suffix.
-  EXPECT_EQ(BaselineStore::canonical_key("BENCH_x.runab.json"),
-            "BENCH_x.runab");
-}
-
-/// Two-directory diff rig: each test gets a private baseline/candidate
-/// tree in the CWD (the build's test working dir), torn down afterwards.
-class BaselineDiff : public ::testing::Test {
-protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    root_ = std::filesystem::path("diff_" + std::string(info->name()));
-    base_ = (root_ / "baseline").string();
-    cand_ = (root_ / "candidate").string();
-    std::filesystem::create_directories(base_);
-    std::filesystem::create_directories(cand_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
-  /// A minimal report exercising every gated surface: a timing table
-  /// column, profile measurements, and a metrics kernel entry.
-  static std::string report_json(double kernel_s, double wall_s,
-                                 double walk_s, int n = 4096,
-                                 std::uint64_t fma = 100,
-                                 const std::string& scale_extra = "") {
-    std::ostringstream os;
-    os << "{\"bench\": \"diffcase\", \"scale\": {\"n\": " << n
-       << ", \"steps\": 4, \"dacc_min_exp\": 9, \"threads\": 2, "
-          "\"async\": true, \"simd\": false"
-       << scale_extra << "},\n"
-       << "\"tables\": [{\"title\": \"step timings\", \"headers\": "
-          "[\"case\", \"seconds\", \"walk [s]\"], \"rows\": [[\"volta\", \""
-       << wall_s << "\", \"" << walk_s << "\"]]}],\n"
-       << "\"profiles\": [{\"label\": \"volta\", \"measured\": "
-          "{\"kernel_seconds\": "
-       << kernel_s << ", \"wall_seconds\": " << wall_s
-       << "}, \"ops\": {\"walkTree\": {\"fp32\": " << fma << "}}}],\n"
-       << "\"metrics\": {\"kernels\": [{\"kernel\": \"walkTree\", "
-          "\"seconds\": "
-       << walk_s
-       << ", \"p50_seconds\": 0.001, \"p95_seconds\": 0.002}]}}\n";
-    return os.str();
-  }
-
-  static void write_report(const std::string& dir, const std::string& name,
-                           const std::string& text) {
-    std::ofstream os(std::filesystem::path(dir) / name);
-    os << text;
-    ASSERT_TRUE(os.good());
-  }
-
-  DiffReport diff(const DiffOptions& opt = {}) const {
-    return diff_baselines(BaselineStore(base_), BaselineStore(cand_), opt);
-  }
-
-  std::filesystem::path root_;
-  std::string base_;
-  std::string cand_;
-};
-
-TEST_F(BaselineDiff, SameTreeComparedWithItselfIsClean) {
-  const std::string rep = report_json(0.10, 0.12, 0.08);
-  write_report(base_, "BENCH_diffcase.json", rep);
-  write_report(cand_, "BENCH_diffcase.json", rep);
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.ok());
-  EXPECT_TRUE(out.regressions.empty());
-  EXPECT_TRUE(out.errors.empty());
-  ASSERT_EQ(out.compared.size(), 1u);
-  EXPECT_EQ(out.compared[0], "BENCH_diffcase");
-}
-
-TEST_F(BaselineDiff, SyntheticSlowdownTripsEveryTimingSurface) {
-  write_report(base_, "BENCH_diffcase.json", report_json(0.10, 0.12, 0.08));
-  write_report(cand_, "BENCH_diffcase.json", report_json(10.0, 12.0, 8.0));
-  const DiffReport out = diff();
-  EXPECT_FALSE(out.ok());
-  // kernel_seconds + wall_seconds + metrics kernel + both timing-headed
-  // table columns ("seconds" by name, "walk [s]" by unit suffix).
-  ASSERT_EQ(out.regressions.size(), 5u);
-  bool saw_profile = false, saw_kernel = false, saw_table = false,
-       saw_unit_suffix = false;
-  for (const DiffFinding& f : out.regressions) {
-    EXPECT_EQ(f.report, "BENCH_diffcase");
-    EXPECT_NEAR(f.ratio(), 100.0, 1e-9);
-    if (f.metric == "profiles[volta].measured.kernel_seconds") {
-      saw_profile = true;
-      EXPECT_DOUBLE_EQ(f.baseline, 0.10);
-      EXPECT_DOUBLE_EQ(f.candidate, 10.0);
-    }
-    if (f.metric == "metrics.kernels[walkTree].seconds") saw_kernel = true;
-    if (f.metric == "tables[step timings][volta].seconds") saw_table = true;
-    if (f.metric == "tables[step timings][volta].walk [s]") {
-      saw_unit_suffix = true;
-    }
-  }
-  EXPECT_TRUE(saw_profile);
-  EXPECT_TRUE(saw_kernel);
-  EXPECT_TRUE(saw_table);
-  EXPECT_TRUE(saw_unit_suffix);
-}
-
-TEST_F(BaselineDiff, MinAcrossRepeatRunsAbsorbsOneNoisyRun) {
-  write_report(base_, "BENCH_diffcase.json", report_json(0.10, 0.12, 0.08));
-  // One candidate repeat hit a noisy machine; the other matched baseline.
-  // MIN folding keeps the clean run, so the gate stays quiet.
-  write_report(cand_, "BENCH_diffcase.run1.json",
-               report_json(0.90, 1.10, 0.70));
-  write_report(cand_, "BENCH_diffcase.run2.json",
-               report_json(0.10, 0.12, 0.08));
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.regressions.empty()) << out.regressions.size();
-  ASSERT_EQ(out.compared.size(), 1u);
-}
-
-TEST_F(BaselineDiff, AbsoluteFloorKeepsMicroDeltasFromGating) {
-  // 100x relative, but the delta is under the 2 ms default floor.
-  write_report(base_, "BENCH_diffcase.json", report_json(1e-5, 1e-5, 1e-5));
-  write_report(cand_, "BENCH_diffcase.json", report_json(1e-3, 1e-3, 1e-3));
-  EXPECT_TRUE(diff().regressions.empty());
-  // Lowering the floor exposes them.
-  DiffOptions tight;
-  tight.abs_floor = 1e-6;
-  EXPECT_FALSE(diff(tight).regressions.empty());
-}
-
-TEST_F(BaselineDiff, ScaleMismatchSkipsTheReportWithANote) {
-  write_report(base_, "BENCH_diffcase.json",
-               report_json(0.10, 0.12, 0.08, /*n=*/4096));
-  write_report(cand_, "BENCH_diffcase.json",
-               report_json(10.0, 12.0, 8.0, /*n=*/8192));
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.regressions.empty());
-  EXPECT_TRUE(out.compared.empty());
-  ASSERT_FALSE(out.notes.empty());
-  EXPECT_NE(out.notes[0].find("scale mismatch"), std::string::npos);
-}
-
-TEST_F(BaselineDiff, ScenarioFingerprintMismatchSkipsWithANote) {
-  // bench_scenario stamps the scenario name and force law into the scale
-  // stanza; two reports from different scenarios must never be diffed
-  // against each other even when everything else matches.
-  write_report(base_, "BENCH_scenario_x.json",
-               report_json(0.10, 0.12, 0.08, 4096, 100,
-                           ", \"scenario\": \"plummer\", "
-                           "\"force\": \"gravity\""));
-  write_report(cand_, "BENCH_scenario_x.json",
-               report_json(10.0, 12.0, 8.0, 4096, 100,
-                           ", \"scenario\": \"lj-box\", \"force\": \"lj\""));
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.regressions.empty());
-  EXPECT_TRUE(out.compared.empty());
-  ASSERT_FALSE(out.notes.empty());
-  EXPECT_NE(out.notes[0].find("scale mismatch"), std::string::npos);
-  EXPECT_NE(out.notes[0].find("plummer"), std::string::npos);
-  EXPECT_NE(out.notes[0].find("lj-box"), std::string::npos);
-}
-
-TEST_F(BaselineDiff, MatchingScenarioFingerprintStillGates) {
-  const std::string tag = ", \"scenario\": \"plummer\", "
-                          "\"force\": \"gravity\"";
-  write_report(base_, "BENCH_scenario_x.json",
-               report_json(0.10, 0.12, 0.08, 4096, 100, tag));
-  write_report(cand_, "BENCH_scenario_x.json",
-               report_json(10.0, 12.0, 8.0, 4096, 100, tag));
-  const DiffReport out = diff();
-  ASSERT_EQ(out.compared.size(), 1u);
-  EXPECT_FALSE(out.regressions.empty());
-}
-
-TEST_F(BaselineDiff, CountDriftIsInformationalNeverAFailure) {
-  write_report(base_, "BENCH_diffcase.json",
-               report_json(0.10, 0.12, 0.08, 4096, /*fma=*/100));
-  write_report(cand_, "BENCH_diffcase.json",
-               report_json(0.10, 0.12, 0.08, 4096, /*fma=*/150));
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.ok());
-  bool saw_drift = false;
-  for (const std::string& n : out.notes) {
-    saw_drift = saw_drift || n.find("count drift") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_drift);
-}
-
-TEST_F(BaselineDiff, NewAndMissingReportsBecomeNotes) {
-  write_report(base_, "BENCH_old.json", report_json(0.1, 0.1, 0.1));
-  write_report(cand_, "BENCH_new.json", report_json(0.1, 0.1, 0.1));
-  const DiffReport out = diff();
-  EXPECT_TRUE(out.regressions.empty());
-  EXPECT_TRUE(out.compared.empty());
-  bool saw_new = false, saw_missing = false;
-  for (const std::string& n : out.notes) {
-    saw_new = saw_new || n.find("new report") != std::string::npos;
-    saw_missing =
-        saw_missing ||
-        n.find("baseline report missing from candidate") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_new);
-  EXPECT_TRUE(saw_missing);
-}
-
-TEST_F(BaselineDiff, MalformedReportIsASchemaError) {
-  write_report(base_, "BENCH_diffcase.json", "{\"not_a_bench\": 1}");
-  write_report(cand_, "BENCH_diffcase.json", report_json(0.1, 0.1, 0.1));
-  const DiffReport out = diff();
-  EXPECT_FALSE(out.ok());
-  ASSERT_FALSE(out.errors.empty());
-  EXPECT_NE(out.errors[0].find("BENCH_diffcase"), std::string::npos);
-}
-
-TEST_F(BaselineDiff, DiffJsonKeepsGoldenSchema) {
-  write_report(base_, "BENCH_diffcase.json", report_json(0.10, 0.12, 0.08));
-  write_report(cand_, "BENCH_diffcase.json", report_json(10.0, 12.0, 8.0));
-  const DiffOptions opt;
-  const JsonValue doc = JsonParser(diff(opt).json(opt)).parse();
-  const JsonValue& bd = require(doc, "bench_diff", JsonValue::Type::Object);
-  EXPECT_EQ(require(bd, "v", JsonValue::Type::Number).number, 1.0);
-  EXPECT_DOUBLE_EQ(require(bd, "threshold", JsonValue::Type::Number).number,
-                   opt.threshold);
-  EXPECT_DOUBLE_EQ(require(bd, "abs_floor", JsonValue::Type::Number).number,
-                   opt.abs_floor);
-  require(bd, "compared", JsonValue::Type::Array);
-  require(bd, "notes", JsonValue::Type::Array);
-  require(bd, "errors", JsonValue::Type::Array);
-  const auto& regs = require(bd, "regressions", JsonValue::Type::Array).array;
-  ASSERT_FALSE(regs.empty());
-  for (const JsonValue& r : regs) {
-    require(r, "report", JsonValue::Type::String);
-    require(r, "metric", JsonValue::Type::String);
-    require(r, "baseline", JsonValue::Type::Number);
-    require(r, "candidate", JsonValue::Type::Number);
-    require(r, "ratio", JsonValue::Type::Number);
-  }
-}
-
-TEST_F(BaselineDiff, UpdateBaselineArchivesTheCandidateTree) {
-  write_report(cand_, "BENCH_diffcase.json", report_json(0.1, 0.1, 0.1));
-  write_report(cand_, "BENCH_other.run1.json", report_json(0.2, 0.2, 0.2));
-  // Archive into a baseline directory that does not exist yet.
-  const std::string fresh = (root_ / "fresh-baseline").string();
-  EXPECT_EQ(update_baseline(BaselineStore(fresh), BaselineStore(cand_)), 2u);
-  const BaselineStore archived(fresh);
-  ASSERT_EQ(archived.entries().size(), 2u);
-  const DiffReport out =
-      diff_baselines(archived, BaselineStore(cand_), DiffOptions{});
-  EXPECT_TRUE(out.ok());
-  EXPECT_EQ(out.compared.size(), 2u);
-}
-
-TEST_F(BaselineDiff, MissingBaselineDirectoryIsAnEmptyStore) {
-  const BaselineStore store((root_ / "does-not-exist").string());
-  EXPECT_TRUE(store.entries().empty());
 }
 
 TEST(BenchReportPath, UnwritableJsonDirErrorsToStderr) {

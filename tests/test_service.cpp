@@ -30,9 +30,11 @@ using service::SessionInfo;
 using service::SessionManager;
 using service::SessionState;
 
-/// A small registry-cycled batch with consecutive seeds.
-std::vector<SessionConfig> small_batch(int sessions, std::size_t n = 128,
-                                       int steps = 3) {
+/// A small registry-cycled batch with consecutive seeds. At the default
+/// size the auto-tuner rebuilds the m31 and plummer sessions (seeds 11,
+/// 12) on step 5, so rebuilds happen inside the batch.
+std::vector<SessionConfig> small_batch(int sessions, std::size_t n = 384,
+                                       int steps = 5) {
   const auto& registry = scenario::registry();
   std::vector<SessionConfig> batch;
   for (int i = 0; i < sessions; ++i) {
@@ -42,7 +44,6 @@ std::vector<SessionConfig> small_batch(int sessions, std::size_t n = 128,
     sc.n = n;
     sc.seed = 11 + static_cast<std::uint64_t>(i);
     sc.steps = steps;
-    sc.rebuild_interval = 2;
     batch.push_back(sc);
   }
   return batch;
@@ -57,8 +58,10 @@ TEST(SessionManager, RunsABatchToCompletionWithBookkeeping) {
   for (const SessionConfig& sc : batch) ids.push_back(mgr.submit(sc));
   mgr.wait_all();
 
+  int rebuilds = 0;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const SessionInfo info = mgr.info(ids[i]);
+    rebuilds += info.rebuilds;
     EXPECT_EQ(info.state, SessionState::Completed) << info.error;
     EXPECT_EQ(info.name, batch[i].name);
     EXPECT_EQ(info.scenario, batch[i].scenario.name);
@@ -73,7 +76,8 @@ TEST(SessionManager, RunsABatchToCompletionWithBookkeeping) {
   EXPECT_EQ(st.completed, 3u);
   EXPECT_EQ(st.failed, 0u);
   EXPECT_EQ(st.active, 0u);
-  EXPECT_EQ(st.steps_total, 9u);
+  EXPECT_EQ(st.steps_total, 15u);
+  EXPECT_GT(rebuilds, 0) << "no session rebuilt after construction";
   EXPECT_GT(st.decisions, 0u);
 }
 
@@ -92,11 +96,15 @@ TEST(SessionManager, PooledSessionsAreBitIdenticalToSoloRuns) {
     std::vector<std::uint64_t> ids;
     for (const SessionConfig& sc : batch) ids.push_back(mgr.submit(sc));
     mgr.wait_all();
+    int rebuilds = 0;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ASSERT_EQ(mgr.wait(ids[i]), SessionState::Completed);
       EXPECT_EQ(mgr.final_state(ids[i]), reference[i])
           << batch[i].name << " diverged on a " << devices << "-device pool";
+      rebuilds += mgr.info(ids[i]).rebuilds;
     }
+    // The auto-tuned cadence is part of what the oracle compares.
+    EXPECT_GT(rebuilds, 0);
   }
 }
 
@@ -104,11 +112,10 @@ TEST(SessionManager, ShardedSessionMatchesItsSoloRun) {
   SessionConfig sc;
   sc.name = "sharded";
   sc.scenario = scenario::find_scenario("plummer");
-  sc.n = 192;
-  sc.seed = 7;
-  sc.steps = 3;
+  sc.n = 384;
+  sc.seed = 11; // the auto-tuner rebuilds this realisation on step 5
+  sc.steps = 5;
   sc.shards = 2;
-  sc.rebuild_interval = 2;
   const std::vector<real> reference = service::solo_final_state(sc);
 
   PoolOptions pool;
@@ -117,6 +124,7 @@ TEST(SessionManager, ShardedSessionMatchesItsSoloRun) {
   const std::uint64_t id = mgr.submit(sc);
   EXPECT_EQ(mgr.wait(id), SessionState::Completed) << mgr.info(id).error;
   EXPECT_EQ(mgr.final_state(id), reference);
+  EXPECT_GT(mgr.info(id).rebuilds, 0);
 }
 
 TEST(SessionManager, QuotaRejectsTheRunawaySessionOnly) {
@@ -212,8 +220,8 @@ TEST(SessionManager, ObserveFoldsServiceGaugesIntoTheRegistry) {
 
 service::ServiceFuzzConfig stress_config() {
   service::ServiceFuzzConfig cfg;
-  cfg.n = 128;
-  cfg.steps = 3;
+  cfg.n = 384;
+  cfg.steps = 5;
   cfg.min_sessions = 8;
   cfg.max_sessions = 10;
   return cfg;
@@ -222,6 +230,7 @@ service::ServiceFuzzConfig stress_config() {
 TEST(ServiceStress, MixedFaultPlansKeepSessionsIsolated) {
   const auto rep = service::sweep_service_faults(stress_config(), 0x5e55, 4);
   EXPECT_EQ(rep.runs, 4u);
+  EXPECT_GT(rep.rebuilds, 0) << "no surviving session rebuilt";
   for (const std::string& f : rep.failures) ADD_FAILURE() << f;
   // Fault or no fault, most of the batch must come out the far side.
   EXPECT_GT(rep.completed_sessions, rep.faulted_sessions);

@@ -402,10 +402,6 @@ nbody::SimConfig traced_config() {
   cfg.dt_max = 1.0 / 64;
   cfg.max_level = 3;
   cfg.set_mode(simt::ExecMode::Volta); // syncwarp counters are non-zero
-  // The auto-tuner picks rebuild points from live timings — nondeterministic
-  // across runs. A fixed interval makes the launch DAG reproducible.
-  cfg.auto_rebuild = false;
-  cfg.fixed_rebuild_interval = 2;
   return cfg;
 }
 

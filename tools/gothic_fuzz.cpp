@@ -184,9 +184,9 @@ int run(const gothic::Args& args) {
     const auto rep =
         gothic::service::sweep_service_faults(scfg, base_seed, service);
     std::printf("service: %zu pooled runs from %s (%zu sessions faulted, "
-                "%zu completed), %zu failures\n",
+                "%zu completed, %d rebuilds), %zu failures\n",
                 rep.runs, hex_seed(base_seed).c_str(), rep.faulted_sessions,
-                rep.completed_sessions, rep.failures.size());
+                rep.completed_sessions, rep.rebuilds, rep.failures.size());
     print_failures(rep.failures);
     ok = ok && rep.ok();
   }

@@ -1,18 +1,18 @@
-// Load balancing — static vs dynamic vs cost-weighted scheduling of the
-// gravity walk across block-time-step activity fractions.
+// Load balancing — the gravity walk's work queue across block-time-step
+// activity fractions.
 //
-// GOTHIC balances walkTree by *measured* cost, not item count (Miki &
-// Umemura 2017; Bédorf et al. 2012). With block time steps only a
-// fraction of the groups is active per step, and the active ones cluster
-// in the dense bulk: an equal-count static partition hands one worker
-// most of the work while the rest idle. The dynamic work queue bounds the
-// imbalance by one chunk; the cost-weighted partition uses last step's
-// per-group costs to cut contiguous equal-cost ranges up front.
+// With block time steps only a fraction of the groups is active per step,
+// and the active ones cluster in the dense bulk (Miki & Umemura 2017;
+// Bédorf et al. 2012). walk_tree compacts the active groups into an index
+// list and hands it out in chunks from one atomic queue, so an idle worker
+// keeps claiming work the way the GPU block scheduler hands the next
+// walkTree block to whichever SM frees first.
 //
-// The schedules are numerically invisible (each group writes disjoint
-// output slots) — this bench asserts that bitwise and reports walk
-// seconds plus the imbalance ratio (max worker time / mean worker time)
-// per (activity fraction, schedule).
+// The queue is numerically invisible (each group writes disjoint output
+// slots): this bench compares every walk bitwise against a 1-worker
+// device's walk and exits nonzero on a mismatch. It reports walk seconds
+// plus the imbalance ratio (max worker time / mean worker time) per
+// activity fraction.
 #include "support/experiment.hpp"
 #include "support/report.hpp"
 
@@ -34,20 +34,19 @@ namespace {
 
 using namespace gothic;
 
-const char* schedule_name(gravity::WalkSchedule s) {
-  switch (s) {
-    case gravity::WalkSchedule::Static: return "static";
-    case gravity::WalkSchedule::Dynamic: return "dynamic";
-    case gravity::WalkSchedule::CostWeighted: return "cost-weighted";
-    case gravity::WalkSchedule::Auto: return "auto";
-  }
-  return "?";
-}
-
-struct RunResult {
+struct Forces {
   std::vector<real> ax, ay, az, pot;
-  double seconds_per_walk = 0.0;
-  double imbalance_mean = 0.0;
+
+  explicit Forces(std::size_t n)
+      : ax(n, real(0)), ay(n, real(0)), az(n, real(0)), pot(n, real(0)) {}
+
+  [[nodiscard]] bool same_bits(const Forces& o) const {
+    const std::size_t bytes = ax.size() * sizeof(real);
+    return std::memcmp(ax.data(), o.ax.data(), bytes) == 0 &&
+           std::memcmp(ay.data(), o.ay.data(), bytes) == 0 &&
+           std::memcmp(az.data(), o.az.data(), bytes) == 0 &&
+           std::memcmp(pot.data(), o.pot.data(), bytes) == 0;
+  }
 };
 
 } // namespace
@@ -87,21 +86,21 @@ int main() {
             << ", reps = " << reps << "\n";
   BenchReport rep("balance");
   rep.set_scale(scale);
-  Table t("walk scheduling: seconds per walk and imbalance ratio "
+  Table t("walk work queue: seconds per walk and imbalance ratio "
           "(M31, N = " + std::to_string(scale.n) + ", dacc = 2^-9)",
-          {"active frac", "schedule", "walk [s]", "imbalance", "identical"});
+          {"active frac", "active groups", "walk [s]", "imbalance",
+           "identical"});
 
   // Block-time-step proxy: the f*n particles with the largest |a| have the
   // smallest required time step, so they fire (and their groups walk) most
-  // often. Ranking by |a| concentrates the active set in the dense bulk —
-  // the worst case for an equal-count partition.
+  // often. Ranking by |a| concentrates the active set in the dense bulk.
   std::vector<std::size_t> by_amag(n);
   std::iota(by_amag.begin(), by_amag.end(), std::size_t{0});
   std::sort(by_amag.begin(), by_amag.end(),
             [&](std::size_t a, std::size_t b) { return amag[a] > amag[b]; });
 
+  runtime::Device serial(1, /*async=*/0);
   bool all_identical = true;
-  bool weighted_no_worse = true;
   for (const double frac : {1.0, 0.5, 0.2, 0.05}) {
     const auto n_active =
         std::max<std::size_t>(1, static_cast<std::size_t>(frac * n));
@@ -118,80 +117,51 @@ int main() {
         }
       }
     }
+    const auto active_groups = static_cast<std::size_t>(
+        std::count(group_active.begin(), group_active.end(), 1));
 
-    RunResult results[3];
-    for (const auto schedule :
-         {gravity::WalkSchedule::Static, gravity::WalkSchedule::Dynamic,
-          gravity::WalkSchedule::CostWeighted}) {
-      cfg.schedule = schedule;
-      RunResult& r = results[static_cast<int>(schedule)];
-      r.ax.assign(n, real(0));
-      r.ay.assign(n, real(0));
-      r.az.assign(n, real(0));
-      r.pot.assign(n, real(0));
-      gravity::GroupCosts costs;
-      // Warm-up walk: populates the cost vector so the cost-weighted
-      // partition of the measured reps acts on measured costs, the same
-      // steady state Simulation reaches after its bootstrap walk.
+    Forces ref(n);
+    {
+      runtime::ScopedDevice scope(serial);
+      gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, ref.ax, ref.ay,
+                         ref.az, ref.pot, nullptr, nullptr, group_active,
+                         groups);
+    }
+
+    Forces r(n);
+    gravity::GroupCosts costs;
+    double seconds = 0.0;
+    double imb_sum = 0.0;
+    for (int i = 0; i < reps; ++i) {
+      // Fresh stats per rep: imbalance() is a per-walk ratio, and
+      // accumulating reps first would compare reps to each other instead
+      // of workers within one walk.
+      gravity::WalkStats s;
+      const Stopwatch clock;
       gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, r.ax, r.ay,
-                         r.az, r.pot, nullptr, nullptr, group_active, groups,
+                         r.az, r.pot, nullptr, &s, group_active, groups,
                          &costs);
-      double seconds = 0.0;
-      double imb_sum = 0.0;
-      for (int i = 0; i < reps; ++i) {
-        // Fresh stats per rep: imbalance() is a per-walk ratio, and
-        // accumulating reps first would compare reps to each other
-        // instead of workers within one walk.
-        gravity::WalkStats s;
-        const Stopwatch clock;
-        gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, r.ax, r.ay,
-                           r.az, r.pot, nullptr, &s, group_active, groups,
-                           &costs);
-        seconds += clock.seconds();
-        imb_sum += s.imbalance();
-      }
-      r.seconds_per_walk = seconds / reps;
-      r.imbalance_mean = imb_sum / reps;
+      seconds += clock.seconds();
+      imb_sum += s.imbalance();
     }
-
-    const RunResult& st = results[static_cast<int>(gravity::WalkSchedule::Static)];
-    for (const auto schedule :
-         {gravity::WalkSchedule::Static, gravity::WalkSchedule::Dynamic,
-          gravity::WalkSchedule::CostWeighted}) {
-      const RunResult& r = results[static_cast<int>(schedule)];
-      const bool identical =
-          std::memcmp(r.ax.data(), st.ax.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.ay.data(), st.ay.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.az.data(), st.az.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.pot.data(), st.pot.data(), n * sizeof(real)) == 0;
-      all_identical = all_identical && identical;
-      t.add_row({Table::fix(frac, 2), schedule_name(schedule),
-                 Table::sci(r.seconds_per_walk), Table::fix(r.imbalance_mean, 3),
-                 identical ? "yes" : "NO"});
-    }
-    const double w_imb =
-        results[static_cast<int>(gravity::WalkSchedule::CostWeighted)]
-            .imbalance_mean;
-    // Small tolerance: at frac = 1 with near-uniform costs the two
-    // partitions nearly coincide and timer noise decides the comparison.
-    if (w_imb > st.imbalance_mean * 1.05 + 0.05) weighted_no_worse = false;
+    const bool identical = r.same_bits(ref);
+    all_identical = all_identical && identical;
+    t.add_row({Table::fix(frac, 2), std::to_string(active_groups),
+               Table::sci(seconds / reps), Table::fix(imb_sum / reps, 3),
+               identical ? "yes" : "NO"});
   }
 
   t.print(std::cout);
   std::cout << "imbalance = busiest worker / mean worker (1 = perfect, "
             << runtime::Device::current().workers()
-            << " = serialized); identical = bitwise equal to the static "
-               "schedule.\n";
-  std::cout << "bitwise identity across schedules: "
+            << " = serialized); identical = bitwise equal to the 1-worker "
+               "walk.\n";
+  std::cout << "bitwise identity with the 1-worker walk: "
             << (all_identical ? "PASS" : "FAIL") << "\n";
-  std::cout << "cost-weighted imbalance <= static (with tolerance): "
-            << (weighted_no_worse ? "PASS" : "FAIL") << "\n";
 
   rep.add_table(t);
-  rep.add_note(std::string("bitwise identity across schedules: ") +
+  rep.add_note(std::string("bitwise identity with the 1-worker walk: ") +
                (all_identical ? "PASS" : "FAIL"));
-  rep.add_note(std::string("cost-weighted imbalance <= static: ") +
-               (weighted_no_worse ? "PASS" : "FAIL"));
   rep.write(std::cout);
   return all_identical ? 0 : 1;
 }

@@ -162,6 +162,8 @@ void BenchReport::add_metrics(const trace::MetricsRegistry& m) {
       ", \"workers\": " + std::to_string(m.workers()) +
       ",\n    \"imbalance_steps\": " + num(m.imbalance_steps()) +
       ", \"imbalance_mean\": " + num(m.imbalance_mean()) +
+      ", \"imbalance_walk_weighted_mean\": " +
+      num(m.imbalance_walk_weighted_mean()) +
       ", \"imbalance_max\": " + num(m.imbalance_max()) +
       ",\n    \"worker_busy_seconds_max\": " + num(m.worker_busy_seconds_max()) +
       ", \"worker_busy_seconds_total\": " +

@@ -1029,37 +1029,18 @@ void walk_tree(const Octree& tree, std::span<const real> x,
   }
 
   // A stale cost vector (tree rebuild changed the decomposition) is
-  // re-seeded uniform; cost-weighted without a vector to act on degrades
-  // to the static partition so standalone callers need no GroupCosts.
-  WalkSchedule schedule = cfg.schedule;
+  // re-seeded uniform. The work queue covers only the active groups: a
+  // queue over all groups would let one chunk swallow a whole clustered
+  // Morton run of active groups on a sparse block step.
   if (costs != nullptr && costs->cost.size() != groups.size()) {
     costs->reset(groups.size());
   }
-  if (schedule == WalkSchedule::Auto) {
-    if (costs == nullptr) {
-      schedule = WalkSchedule::Static;
-    } else {
-      // Near-uniform steps (most groups active, previous walk balanced)
-      // take the static split; sparse or skewed steps keep the measured
-      // partition. Both inputs are schedule-independent (activity comes
-      // from block steps, last_imbalance only gates a numerically
-      // invisible choice), so Auto stays bit-identical too.
-      std::size_t active = 0;
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        if (group_active.empty() || group_active[gi] != 0) ++active;
-      }
-      const double frac =
-          groups.empty() ? 1.0
-                         : static_cast<double>(active) /
-                               static_cast<double>(groups.size());
-      const bool balanced = costs->last_imbalance <= kAutoImbalanceTolerance;
-      schedule = frac >= kAutoStaticActivityFraction && balanced
-                     ? WalkSchedule::Static
-                     : WalkSchedule::CostWeighted;
-    }
-  }
-  if (schedule == WalkSchedule::CostWeighted && costs == nullptr) {
-    schedule = WalkSchedule::Static;
+  std::vector<std::size_t> own_active;
+  std::vector<std::size_t>& active = costs != nullptr ? costs->active
+                                                      : own_active;
+  active.clear();
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    if (group_active.empty() || group_active[gi] != 0) active.push_back(gi);
   }
 
   runtime::Device& dev = runtime::Device::current();
@@ -1081,7 +1062,7 @@ void walk_tree(const Octree& tree, std::span<const real> x,
         : ws(arena), list(arena, cap, quad) {}
   };
   WorkerState* states[runtime::Device::kMaxWorkers] = {};
-  auto run_range = [&](runtime::Worker& w, std::size_t lo, std::size_t hi) {
+  auto run_chunk = [&](runtime::Worker& w, std::size_t lo, std::size_t hi) {
     WorkerState*& st = states[w.id];
     if (st == nullptr) {
       w.arena.reset();
@@ -1090,44 +1071,21 @@ void walk_tree(const Octree& tree, std::span<const real> x,
                                    cfg.use_quadrupole);
     }
     const Stopwatch clock;
-    for (std::size_t gi = lo; gi < hi; ++gi) {
-      if (!group_active.empty() && group_active[gi] == 0) continue;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t gi = active[k];
       const std::uint64_t before = st->local.interactions + st->local.mac_evals;
       walk_group(task, groups[gi].first, static_cast<int>(groups[gi].count),
                  st->ws, st->list, st->counts, st->local);
       if (costs != nullptr) {
         // Race-free: group gi is run by exactly one worker and owns its
-        // slot. Inactive groups keep their previous cost, so a group
-        // waking up is partitioned by what it cost when last walked.
+        // slot. Inactive groups keep their previous cost.
         costs->cost[gi] = static_cast<double>(
             st->local.interactions + st->local.mac_evals - before);
       }
     }
     st->busy_seconds += clock.seconds();
   };
-
-  switch (schedule) {
-    case WalkSchedule::Dynamic:
-      dev.parallel_dynamic(0, groups.size(), 0, run_range);
-      break;
-    case WalkSchedule::CostWeighted: {
-      // Activity-masked weights: inactive groups cost the walk nothing
-      // this step; active ones get a floor of 1 so a group whose last
-      // walk was trivially cheap still counts as an item.
-      std::vector<double>& wts = costs->weights;
-      wts.resize(groups.size());
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const bool active = group_active.empty() || group_active[gi] != 0;
-        wts[gi] = active ? std::max(costs->cost[gi], 1.0) : 0.0;
-      }
-      dev.parallel_weighted_ranges(0, groups.size(), wts, run_range);
-      break;
-    }
-    case WalkSchedule::Static:
-    default:
-      dev.parallel_ranges(0, groups.size(), run_range);
-      break;
-  }
+  dev.parallel_dynamic(0, active.size(), 0, run_chunk);
 
   simt::OpCounts total_ops;
   WalkStats total_stats;
@@ -1140,10 +1098,9 @@ void walk_tree(const Octree& tree, std::span<const real> x,
     total_stats.worker_max_seconds =
         std::max(total_stats.worker_max_seconds, st->busy_seconds);
   }
-  // Count every context worker, including ones the schedule left idle, so
+  // Count every context worker, including ones the queue left idle, so
   // imbalance() penalizes idleness rather than hiding it.
   total_stats.workers = static_cast<std::uint64_t>(dev.workers());
-  if (costs != nullptr) costs->last_imbalance = total_stats.imbalance();
 
   if (ops != nullptr) *ops += total_ops;
   if (stats != nullptr) *stats += total_stats;

@@ -22,43 +22,8 @@
 
 namespace gothic::gravity {
 
-/// Worker scheduling of the group loop (DESIGN.md "Load balancing").
-/// Results are bit-identical across all three policies: every group writes
-/// only its own disjoint output slots, and the per-worker tallies merge
-/// commutatively — the schedule picks *who* runs a group, never *what* the
-/// group computes.
-enum class WalkSchedule : int {
-  /// Equal-count contiguous chunks (Device::parallel_ranges). With block
-  /// time steps a worker that draws the dense-bulk groups serializes the
-  /// step — the baseline the bench_balance comparison quantifies.
-  Static = 0,
-  /// Chunked atomic work queue (Device::parallel_dynamic): idle workers
-  /// keep pulling, so imbalance is bounded by one chunk.
-  Dynamic = 1,
-  /// Contiguous equal-cost partition from measured per-group costs
-  /// (Device::parallel_weighted_ranges) — GOTHIC balances its walk by
-  /// measured cost, not item count. Degrades to Static when no GroupCosts
-  /// vector is supplied.
-  CostWeighted = 2,
-  /// Pick Static or CostWeighted per call: near-uniform steps (activity
-  /// fraction ≥ kAutoStaticActivityFraction and previous imbalance ≤
-  /// kAutoImbalanceTolerance) take the zero-overhead static split —
-  /// BENCH_balance showed cost-weighting *costs* ~12% walk time at 100%
-  /// activity, where measured costs are near-uniform and the weighted
-  /// partition only adds boundary jitter — while sparse or skewed steps
-  /// keep the measured-cost partition. Degrades to Static when no
-  /// GroupCosts vector is supplied (no cost signal, no imbalance history).
-  Auto = 3,
-};
-
-/// WalkSchedule::Auto picks Static when at least this fraction of groups
-/// is active...
-inline constexpr double kAutoStaticActivityFraction = 0.75;
-/// ...and the previous walk's imbalance ratio stayed below this bound.
-inline constexpr double kAutoImbalanceTolerance = 1.25;
-
 /// Interaction law evaluated by the flush kernel. The traversal machinery
-/// (group decomposition, frontier batching, list flushing, schedules,
+/// (group decomposition, frontier batching, list flushing, the work queue,
 /// sharding) is shared; only the per-node acceptance test and the per-pair
 /// kernel change — the seam exafmm's van-der-Waals traversal demonstrates.
 enum class ForceLaw : int {
@@ -93,25 +58,18 @@ struct LJParams {
   real cutoff = real(2.5);
 };
 
-/// Caller-owned cost-feedback state of the cost-weighted walk schedule:
-/// `cost` persists the per-group measured cost (interaction + MAC work)
-/// across walk_tree calls; `weights` is the activity-masked scratch the
-/// partition consumes. Both retain capacity, so the steady-state feedback
-/// loop allocates nothing; reset(n) (uniform costs) re-seeds after the
-/// group decomposition changed (tree rebuild).
+/// Caller-owned per-group walk state: `cost` persists each group's
+/// measured cost (interaction + MAC work) across walk_tree calls — the
+/// weight octree::partition_weighted cuts K > 1 shards by; `active` is the
+/// compacted list of active group indices the walk's work queue hands out
+/// (DESIGN.md "Load balancing"). Both retain capacity, so a steady-state
+/// step allocates nothing for them; reset(n) (uniform costs) re-seeds
+/// after the group decomposition changed (tree rebuild).
 struct GroupCosts {
   std::vector<double> cost;
-  std::vector<double> weights;
-  /// Imbalance ratio (WalkStats::imbalance) of the previous walk_tree call
-  /// that used this state — the feedback signal WalkSchedule::Auto reads.
-  /// 0 until the first walk completes.
-  double last_imbalance = 0.0;
+  std::vector<std::size_t> active;
 
-  void reset(std::size_t n_groups) {
-    cost.assign(n_groups, 1.0);
-    weights.assign(n_groups, 1.0);
-    last_imbalance = 0.0;
-  }
+  void reset(std::size_t n_groups) { cost.assign(n_groups, 1.0); }
 };
 
 struct WalkConfig {
@@ -136,11 +94,6 @@ struct WalkConfig {
   ForceLaw law = ForceLaw::Gravity;
   /// Lennard-Jones parameters; read only when law == LennardJones.
   LJParams lj{};
-  /// How the group loop is spread over the device workers; numerically
-  /// invisible (see WalkSchedule). Cost-weighted is the GOTHIC default —
-  /// it needs a GroupCosts vector to act on and otherwise behaves as
-  /// Static, so standalone callers are unaffected.
-  WalkSchedule schedule = WalkSchedule::CostWeighted;
 };
 
 /// Traversal statistics per walk (drives Figs 6-10 via the cost model).
@@ -155,7 +108,7 @@ struct WalkStats {
 
   // Per-worker busy time of the walk's parallel region (timing only —
   // never feeds back into the numerics). `workers` counts every worker of
-  // the executing context, including ones the schedule left idle, so the
+  // the executing context, including ones the queue left idle, so the
   // imbalance ratio penalizes idle workers.
   double worker_max_seconds = 0.0; ///< busiest worker's walk seconds
   double worker_sum_seconds = 0.0; ///< summed walk seconds over workers
@@ -239,11 +192,17 @@ struct GroupSpan {
 /// `groups`, when non-empty, supplies the decomposition to traverse
 /// (callers with block-step activity flags compute it once per rebuild via
 /// walk_groups); when empty it is derived internally from the positions.
-/// `costs`, when non-null, closes the load-balance feedback loop: the walk
-/// consumes costs->cost to pre-partition the groups (WalkSchedule::
-/// CostWeighted) and records each walked group's measured cost back into
-/// its slot for the next call (inactive groups keep their previous cost).
-/// The vector is (re)seeded uniform whenever its size disagrees with the
+/// The active groups are compacted into a list of indices and handed out
+/// in chunks from one atomic work queue (Device::parallel_dynamic): an
+/// idle worker claims the next chunk, as the GPU block scheduler hands
+/// the next walkTree block to whichever SM frees first. The queue picks
+/// *who* walks a group, never *what* the group computes — every group
+/// writes only its own output slots and the per-worker tallies merge
+/// commutatively — so results are bit-identical for any worker count.
+/// `costs`, when non-null, records each walked group's measured cost into
+/// its slot (inactive groups keep their previous cost) and holds the
+/// compacted index list, so repeated calls reuse its capacity. The cost
+/// vector is (re)seeded uniform whenever its size disagrees with the
 /// decomposition; the recording is race-free because each group owns its
 /// slot exclusively.
 void walk_tree(const octree::Octree& tree, std::span<const real> x,

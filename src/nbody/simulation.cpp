@@ -291,8 +291,8 @@ void Simulation::bootstrap_forces() {
   wd.stream = &c.tree_stream;
   wd.sink = &c.sink;
   // Walk over the rebuild's group decomposition with the cost vector
-  // attached: the bootstrap's measured per-group costs seed step 0's
-  // cost-weighted schedule (K = 1) and the first shard split (K > 1).
+  // attached: the bootstrap's measured per-group costs seed the first
+  // shard split (K > 1).
   dev.launch(wd, [this, &boot](simt::OpCounts& ops) {
     gravity::walk_tree(tree_, particles_.x, particles_.y, particles_.z,
                        particles_.m, {}, boot, particles_.ax, particles_.ay,
@@ -371,13 +371,10 @@ void Simulation::refresh_partition() {
     sh.vx.resize(n);
     sh.vy.resize(n);
     sh.vz.resize(n);
-    const std::size_t gcount = sh.group_end - sh.group_begin;
     sh.costs.cost.assign(group_costs_.cost.begin() +
                              static_cast<std::ptrdiff_t>(sh.group_begin),
                          group_costs_.cost.begin() +
                              static_cast<std::ptrdiff_t>(sh.group_end));
-    sh.costs.weights.assign(gcount, 1.0);
-    sh.costs.last_imbalance = 0.0;
     sh.imports.resize(static_cast<std::size_t>(k));
     sh.bounds = gravity::LetBounds{};
   }
@@ -797,6 +794,8 @@ StepReport Simulation::step() {
     mark.kernel_seconds = report.total_seconds();
     mark.wall_seconds = report.wall_seconds;
     mark.walk_imbalance = report.walk_stats.imbalance();
+    mark.walk_seconds =
+        report.seconds[static_cast<std::size_t>(Kernel::WalkTree)];
     if (own_devices_) {
       mark.shards = k;
       mark.shard_busy_max = last_stats_.busy_max;

@@ -26,12 +26,6 @@
 namespace gothic::nbody {
 
 struct SimConfig {
-  /// The simulation defaults the walk schedule to Auto: the step loop owns
-  /// a GroupCosts feedback vector, so Auto can pick the static split on
-  /// near-uniform steps and the cost-weighted partition on sparse ones
-  /// (standalone walk_tree callers keep WalkConfig's own default).
-  SimConfig() { walk.schedule = gravity::WalkSchedule::Auto; }
-
   gravity::WalkConfig walk{};
   octree::BuildConfig build{};
   octree::CalcNodeConfig calc{};
@@ -318,11 +312,11 @@ private:
   /// shards take contiguous sub-spans.
   std::vector<gravity::GroupSpan> groups_;
   std::vector<std::uint8_t> group_active_;
-  /// Cost-feedback state of the cost-weighted walk schedule over all
-  /// groups. K = 1 walks with it directly: re-seeded uniform at every
-  /// rebuild and first measured by the bootstrap walk, so step 0 already
-  /// partitions by real cost. K > 1 walks with per-shard slices of its
-  /// `cost` (written back after each step) and carries it through
+  /// Per-group walk state over all groups. K = 1 walks with it directly
+  /// (its `active` list is the walk's queue, reused every step); the
+  /// measured `cost` is re-seeded uniform at every rebuild and first
+  /// measured by the bootstrap walk. K > 1 walks with per-shard slices of
+  /// its `cost` (written back after each step) and carries it through
   /// reorderings as per-body costs, so the shard split tracks work.
   gravity::GroupCosts group_costs_;
   std::vector<double> body_cost_;

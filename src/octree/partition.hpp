@@ -24,11 +24,10 @@
 namespace gothic::octree {
 
 /// Split items [0, weights.size()) into `shards` contiguous ranges of
-/// near-equal positive weight (prefix thresholds at total*s/K — the same
-/// rule as Device::parallel_weighted_ranges). Returns shards+1
-/// non-decreasing boundaries with front()==0 and back()==weights.size().
-/// Falls back to equal-count splits when no weight is positive. Pure and
-/// deterministic: depends only on the arguments.
+/// near-equal positive weight (prefix thresholds at total*s/K). Returns
+/// shards+1 non-decreasing boundaries with front()==0 and
+/// back()==weights.size(). Falls back to equal-count splits when no weight
+/// is positive. Pure and deterministic: depends only on the arguments.
 std::vector<std::size_t> partition_weighted(std::span<const double> weights,
                                             int shards);
 

@@ -44,8 +44,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -184,50 +182,6 @@ public:
     const std::size_t n = end - begin;
     const auto nw = static_cast<std::size_t>(workers());
     return std::max<std::size_t>(1, n / (nw * 8));
-  }
-
-  /// Cost-weighted static schedule: split [begin, end) into one contiguous
-  /// range per worker whose *summed weight* (not item count) is as equal
-  /// as a contiguous split allows — worker w's range ends at the first
-  /// item where the weight prefix sum reaches (w+1)/nw of the total.
-  /// `weights` holds one non-negative cost per item (weights.size() ==
-  /// end - begin; mismatch throws std::invalid_argument); a non-positive
-  /// total falls back to the equal-count parallel_ranges split. The
-  /// partition is a pure function of (weights, worker count) — fully
-  /// deterministic — and the boundary scan runs on the calling thread into
-  /// fixed stack scratch, so the collective allocates nothing.
-  template <typename Fn>
-  void parallel_weighted_ranges(std::size_t begin, std::size_t end,
-                                std::span<const double> weights, Fn&& fn) {
-    if (end <= begin) return;
-    if (weights.size() != end - begin) {
-      throw std::invalid_argument(
-          "Device::parallel_weighted_ranges: one weight per item required");
-    }
-    double total = 0.0;
-    for (const double w : weights) total += w > 0.0 ? w : 0.0;
-    if (!(total > 0.0)) {
-      parallel_ranges(begin, end, fn);
-      return;
-    }
-    const auto nw = static_cast<std::size_t>(workers());
-    const double per = total / static_cast<double>(nw);
-    std::size_t bounds[kMaxWorkers + 1];
-    bounds[0] = begin;
-    std::size_t b = 1;
-    double prefix = 0.0;
-    for (std::size_t i = 0; i < weights.size() && b < nw; ++i) {
-      prefix += weights[i] > 0.0 ? weights[i] : 0.0;
-      while (b < nw && prefix >= per * static_cast<double>(b)) {
-        bounds[b++] = begin + i + 1;
-      }
-    }
-    for (; b <= nw; ++b) bounds[b] = end;
-    for_workers([&](Worker& w) {
-      const std::size_t lo = bounds[w.id];
-      const std::size_t hi = bounds[w.id + 1];
-      if (lo < hi) fn(w, lo, hi);
-    });
   }
 
   /// The contiguous chunk length parallel_ranges assigns per worker.

@@ -123,6 +123,9 @@ struct StepMark {
   /// Walk load-imbalance ratio (max worker time / mean worker time) of
   /// the step's tree walk; 0 when the step recorded no walk timing.
   double walk_imbalance = 0.0;
+  /// Summed walkTree launch-body seconds of the step — the weight that
+  /// turns walk_imbalance into the seconds the imbalance cost.
+  double walk_seconds = 0.0;
 
   // Sharded-pipeline fields (a Simulation owning its shard devices; all 0
   // for a step on the ambient device).

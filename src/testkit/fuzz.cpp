@@ -36,8 +36,7 @@ nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed) {
   return p;
 }
 
-nbody::SimConfig fuzz_sim_config(int rebuild_interval,
-                                 gravity::WalkSchedule schedule) {
+nbody::SimConfig fuzz_sim_config(int rebuild_interval) {
   nbody::SimConfig cfg;
   // Shared global step with a fixed rebuild cadence, for coverage: at fuzz
   // sizes the auto-tuner's cadence sits at its 64-step cap, so only a
@@ -47,7 +46,6 @@ nbody::SimConfig fuzz_sim_config(int rebuild_interval,
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;
   cfg.fixed_rebuild_interval = rebuild_interval;
-  cfg.walk.schedule = schedule;
   return cfg;
 }
 
@@ -68,7 +66,7 @@ std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
-                        fuzz_sim_config(cfg.rebuild_interval, cfg.schedule));
+                        fuzz_sim_config(cfg.rebuild_interval));
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   // step() ends with a synchronize, so the device is idle here and the
   // controller can be detached before it goes out of the caller's scope.
@@ -78,20 +76,9 @@ std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
 
 namespace {
 
-const char* schedule_name(gravity::WalkSchedule s) {
-  switch (s) {
-  case gravity::WalkSchedule::Static: return "static";
-  case gravity::WalkSchedule::Dynamic: return "dynamic";
-  case gravity::WalkSchedule::CostWeighted: return "cost-weighted";
-  case gravity::WalkSchedule::Auto: return "auto";
-  }
-  return "?";
-}
-
-std::string leg_name(gravity::WalkSchedule schedule, bool simd, bool async,
-                     int shards) {
-  return std::string(schedule_name(schedule)) + (simd ? " simd" : " scalar") +
-         (async ? " async" : " sync") + " K=" + std::to_string(shards);
+std::string leg_name(bool simd, bool async, int shards) {
+  return std::string(simd ? "simd" : "scalar") + (async ? " async" : " sync") +
+         " K=" + std::to_string(shards);
 }
 
 void append_divergence(SweepReport& rep, std::uint64_t seed,
@@ -105,19 +92,15 @@ void append_divergence(SweepReport& rep, std::uint64_t seed,
 
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference) {
-  // The walk schedule is part of the replay token: deriving it from the
-  // seed makes a failing seed reproduce the exact run with no extra state
-  // and spreads the seeded sweep across all four schedules. Bit 4 picks
-  // the SIMD substrate the same way, so every sweep cross-checks the AVX2
-  // and scalar paths against the one reference (the bit is a no-op on
-  // hosts without AVX2 — set_simd_enabled clamps to availability).
-  FuzzConfig run_cfg = cfg;
-  run_cfg.schedule = static_cast<gravity::WalkSchedule>(seed % 4);
+  // Bit 4 of the replay token picks the SIMD substrate, so every sweep
+  // cross-checks the AVX2 and scalar paths against the one reference (the
+  // bit is a no-op on hosts without AVX2 — set_simd_enabled clamps to
+  // availability). Bits 0-3 are unused, so existing tokens keep their leg.
   const bool simd_on = ((seed >> 4) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
   RunOutcome out;
-  out.leg = leg_name(run_cfg.schedule, simd_on, true, 1);
-  out.state = run_controlled(run_cfg, true, nullptr);
+  out.leg = leg_name(simd_on, true, 1);
+  out.state = run_controlled(cfg, true, nullptr);
   out.bit_identical = out.state == reference;
   return out;
 }
@@ -125,23 +108,7 @@ RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count) {
   SweepReport rep;
-  // One synchronous reference per walk schedule: the schedule contract
-  // says all four are bit-identical, so verify that up front and let
-  // every async run (whose schedule replay_seed derives from its seed)
-  // compare against the one shared reference.
-  FuzzConfig ref_cfg = cfg;
-  ref_cfg.schedule = gravity::WalkSchedule::Static;
-  const std::vector<real> ref = run_controlled(ref_cfg, false, nullptr);
-  for (const auto schedule :
-       {gravity::WalkSchedule::Dynamic, gravity::WalkSchedule::CostWeighted,
-        gravity::WalkSchedule::Auto}) {
-    ref_cfg.schedule = schedule;
-    if (run_controlled(ref_cfg, false, nullptr) != ref) {
-      rep.failures.push_back(
-          std::string("walk schedule ") + schedule_name(schedule) +
-          " diverged from the static schedule on the synchronous run");
-    }
-  }
+  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
     const RunOutcome out = replay_seed(cfg, seed, ref);
@@ -321,22 +288,22 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference) {
   ShardRunOutcome out;
   // Low bits so short sequential seed ranges already cover the matrix:
-  // bits 0-1 walk schedule, bit 2 async mode, bits 3+ shard count, bit 5
-  // the SIMD substrate (clamped to a no-op on hosts without AVX2).
+  // bit 2 async mode, bits 3+ shard count, bit 5 the SIMD substrate
+  // (clamped to a no-op on hosts without AVX2). Bits 0-1 are unused, so
+  // existing tokens keep their leg.
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
   out.async = ((seed >> 2) & 1) != 0;
   const bool simd_on = ((seed >> 5) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
-  const auto schedule = static_cast<gravity::WalkSchedule>(seed % 4);
-  out.leg = leg_name(schedule, simd_on, out.async, out.shards);
+  out.leg = leg_name(simd_on, out.async, out.shards);
 
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
-                        fuzz_sim_config(cfg.rebuild_interval, schedule), opt);
+                        fuzz_sim_config(cfg.rebuild_interval), opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   out.bit_identical = pack_state(sim.particles()) == reference;
   return out;
@@ -359,9 +326,8 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 // --- Scenario-registry sweeps ---------------------------------------------
 
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
-                                      int rebuild_interval,
-                                      gravity::WalkSchedule schedule) {
-  nbody::SimConfig cfg = fuzz_sim_config(rebuild_interval, schedule);
+                                      int rebuild_interval) {
+  nbody::SimConfig cfg = fuzz_sim_config(rebuild_interval);
   sc.configure(cfg);
   // The scenario owns the force law and accuracy; the fuzzer re-pins the
   // cadence fields so every scenario gets the rebuild-dense coverage above
@@ -370,7 +336,6 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;
   cfg.fixed_rebuild_interval = rebuild_interval;
-  cfg.walk.schedule = schedule;
   return cfg;
 }
 
@@ -380,8 +345,7 @@ std::vector<real> scenario_reference(const FuzzConfig& cfg,
   runtime::ScopedDevice scope(dev);
   nbody::Simulation sim(
       sc.make(cfg.n, cfg.workload_seed),
-      scenario_fuzz_config(sc, cfg.rebuild_interval,
-                           gravity::WalkSchedule::Static));
+      scenario_fuzz_config(sc, cfg.rebuild_interval));
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   return pack_state(sim.particles());
 }
@@ -391,25 +355,22 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
   const scenario::Scenario& sc = scenario::scenario_from_seed(seed);
   ScenarioRunOutcome out;
   out.scenario = sc.name;
-  // Same seed-bit encoding as run_sharded (bits 0-1 walk schedule, bit 2
-  // async, bits 3+ shard count, bit 5 SIMD) so one token language covers
-  // both sweeps; the scenario is an independent hash of the whole seed.
+  // Same seed-bit encoding as run_sharded (bit 2 async, bits 3+ shard
+  // count, bit 5 SIMD) so one token language covers both sweeps; the
+  // scenario is an independent hash of the whole seed.
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
   out.async = ((seed >> 2) & 1) != 0;
   const bool simd_on = ((seed >> 5) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
-  const auto schedule = static_cast<gravity::WalkSchedule>(seed % 4);
-  out.leg = leg_name(schedule, simd_on, out.async, out.shards);
+  out.leg = leg_name(simd_on, out.async, out.shards);
 
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
   nbody::Simulation sim(sc.make(cfg.n, cfg.workload_seed),
-                        scenario_fuzz_config(sc, cfg.rebuild_interval,
-                                             schedule),
-                        opt);
+                        scenario_fuzz_config(sc, cfg.rebuild_interval), opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   out.bit_identical = pack_state(sim.particles()) == reference;
   return out;

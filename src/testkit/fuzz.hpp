@@ -2,8 +2,8 @@
 //
 // One seeded run executes a deterministic workload (fixed particle cloud,
 // fixed rebuild cadence) on fresh devices in the configuration its seed
-// encodes — walk schedule, SIMD substrate and, for the sharded and
-// scenario legs, async mode and shard count — and compares the final
+// encodes — SIMD substrate and, for the sharded and scenario legs, async
+// mode and shard count — and compares the final
 // particle state bit-for-bit against the synchronous (GOTHIC_ASYNC=0
 // semantics) reference run of the identical workload. Any failure is
 // reproducible from the failing 64-bit seed alone.
@@ -33,22 +33,12 @@ struct FuzzConfig {
   int workers = 2;          ///< device worker pool
   int rebuild_interval = 1; ///< fixed rebuild cadence (1 = every step)
   std::uint64_t workload_seed = 7; ///< particle-cloud seed
-  /// Walk schedule of the run. Numerically invisible by contract, which
-  /// the seeded sweep verifies: replay_seed overrides this from the seed
-  /// (seed % 4) so every sweep covers all four schedules against one
-  /// reference, and a failing seed alone reproduces the exact run. The
-  /// SIMD substrate is part of the same token — replay_seed pins
-  /// GOTHIC_SIMD from (seed >> 4) & 1, so sweeps cross-check the AVX2 and
-  /// scalar paths too (a no-op on hosts without AVX2).
-  gravity::WalkSchedule schedule = gravity::WalkSchedule::CostWeighted;
 };
 
 /// Deterministic uniform cloud (equal masses), the fuzz workload.
 nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed);
 /// Fuzz step configuration: fixed rebuild cadence, shared global steps.
-nbody::SimConfig fuzz_sim_config(
-    int rebuild_interval,
-    gravity::WalkSchedule schedule = gravity::WalkSchedule::CostWeighted);
+nbody::SimConfig fuzz_sim_config(int rebuild_interval);
 /// Pack the integration state for exact (bitwise) comparison.
 std::vector<real> pack_state(const nbody::Particles& p);
 
@@ -67,8 +57,10 @@ struct RunOutcome {
 };
 
 /// Replay one seed on an async device against a reference state (from
-/// run_controlled(cfg, false, nullptr)): walk schedule from seed % 4, SIMD
-/// substrate from (seed >> 4) & 1.
+/// run_controlled(cfg, false, nullptr)): the SIMD substrate from
+/// (seed >> 4) & 1, so a sweep cross-checks the AVX2 and scalar paths (a
+/// no-op on hosts without AVX2) and a failing seed alone reproduces the
+/// exact run. Bits 0-3 select nothing.
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference);
 
@@ -135,9 +127,9 @@ struct ShardRunOutcome {
 };
 
 /// Run the fuzz workload through a sharded Simulation. The seed is the full
-/// replay token: walk schedule from seed % 4, async mode from
-/// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3 and the
-/// SIMD substrate from (seed >> 5) & 1. Compares bit-for-bit against
+/// replay token: async mode from (seed >> 2) & 1, shard count K in
+/// {1, 2, 4} from (seed >> 3) % 3 and the SIMD substrate from
+/// (seed >> 5) & 1 (bits 0-1 are unused). Compares bit-for-bit against
 /// `reference` (from run_controlled(cfg, false, nullptr) — the unsharded
 /// synchronous run).
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
@@ -155,8 +147,7 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 /// the force law and accuracy, the fuzzer keeps the launch DAG identical
 /// across runs so the seed's configuration is the only degree of freedom.
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
-                                      int rebuild_interval,
-                                      gravity::WalkSchedule schedule);
+                                      int rebuild_interval);
 
 /// Synchronous unsharded reference state of a scenario's fuzz workload
 /// (sc.make(cfg.n, cfg.workload_seed), cfg.steps steps).
@@ -174,8 +165,8 @@ struct ScenarioRunOutcome {
 
 /// One scenario leg: the seed is the full replay token — the *scenario*
 /// comes from scenario::scenario_from_seed(seed) (hashed, so consecutive
-/// seeds land on different registry entries) and the schedule/async/
-/// shard-count/SIMD bits follow run_sharded's encoding. Compares the
+/// seeds land on different registry entries) and the async/shard-count/
+/// SIMD bits follow run_sharded's encoding. Compares the
 /// final state bit-for-bit against `reference` (scenario_reference of the
 /// same scenario); a printed seed therefore reproduces workload (ICs +
 /// force law) and configuration together.

@@ -70,6 +70,10 @@ void MetricsRegistry::record_step(const runtime::StepMark& mark) {
     imbalance_steps_ += 1;
     imbalance_sum_ += mark.walk_imbalance;
     imbalance_max_ = std::max(imbalance_max_, mark.walk_imbalance);
+    if (mark.walk_seconds > 0.0) {
+      imbalance_walk_seconds_ += mark.walk_seconds;
+      imbalance_weighted_sum_ += mark.walk_imbalance * mark.walk_seconds;
+    }
   }
   if (mark.shards > 0) {
     shard_steps_ += 1;
@@ -143,7 +147,8 @@ void MetricsRegistry::print(std::ostream& os) const {
   os << "\n";
   if (imbalance_steps_ > 0) {
     os << "walk imbalance (max worker / mean worker): mean "
-       << Table::sci(imbalance_mean()) << ", worst "
+       << Table::sci(imbalance_mean()) << ", walk-seconds weighted "
+       << Table::sci(imbalance_walk_weighted_mean()) << ", worst "
        << Table::sci(imbalance_max_) << " over " << imbalance_steps_
        << " steps\n";
   }

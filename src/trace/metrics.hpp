@@ -137,6 +137,15 @@ public:
                ? imbalance_sum_ / static_cast<double>(imbalance_steps_)
                : 0.0;
   }
+  /// Per-step walk imbalance weighted by the step's walk seconds: a
+  /// skewed step that walked for 1 ms counts 1000x less than one that
+  /// walked for 1 s, so this is the imbalance of the walk *time*. 0 when
+  /// no step carried both an imbalance and walk seconds.
+  [[nodiscard]] double imbalance_walk_weighted_mean() const {
+    return imbalance_walk_seconds_ > 0.0
+               ? imbalance_weighted_sum_ / imbalance_walk_seconds_
+               : 0.0;
+  }
 
   // Shard accounting over the observed steps (only steps whose StepMark
   // came from a sharded run — mark.shards > 0 — contribute).
@@ -199,6 +208,8 @@ private:
   std::uint64_t imbalance_steps_ = 0;
   double imbalance_max_ = 0.0;
   double imbalance_sum_ = 0.0;
+  double imbalance_weighted_sum_ = 0.0;
+  double imbalance_walk_seconds_ = 0.0;
   std::uint64_t shard_steps_ = 0;
   int shards_max_ = 0;
   double shard_imbalance_max_ = 0.0;

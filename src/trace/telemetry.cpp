@@ -44,9 +44,7 @@ TelemetryWriter::TelemetryWriter(std::string path) : path_(std::move(path)) {
 
 void TelemetryWriter::write_config() {
   // The run's environment fingerprint — enough to group/partition a
-  // scraped time series by scheduler and substrate configuration. Walk
-  // schedule defaults to SimConfig's Auto and is not env-configurable, so
-  // it is not part of the fingerprint.
+  // scraped time series by scheduler and substrate configuration.
   os_ << "{\"type\": \"config\", \"v\": 1"
       << ", \"async\": " << env_size("GOTHIC_ASYNC", 1)
       << ", \"simd\": " << env_size("GOTHIC_SIMD", 1)

@@ -1,5 +1,5 @@
 // Exact behaviour gate. A few pinned short runs in each scenario's default
-// configuration (auto-tuned rebuilds, default walk schedule, block steps)
+// configuration (auto-tuned rebuilds, block steps)
 // are fingerprinted — step count, rebuild steps, every per-kernel op
 // tally, the walk statistics, LET traffic, the perfmodel V100/P100
 // seconds and a hash of the final state's bits — and compared line by

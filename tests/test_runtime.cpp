@@ -134,75 +134,6 @@ TEST(Device, ParallelDynamicCoversEveryIndexOnce) {
   EXPECT_EQ(covered.load(), 100u);
 }
 
-TEST(Device, ParallelWeightedRangesPartitionsByCost) {
-  Device dev(4);
-  // One heavy item among unit items: the equal-cost partition must cut
-  // the heavy item into its own (or a small) range instead of handing
-  // one worker an equal-count quarter of everything.
-  const std::size_t n = 100;
-  std::vector<double> weights(n, 1.0);
-  weights[10] = 1000.0;
-  std::vector<int> owner(n, -1);
-  dev.parallel_weighted_ranges(
-      0, n, weights, [&](Worker& w, std::size_t lo, std::size_t hi) {
-        ASSERT_LT(lo, hi);
-        for (std::size_t i = lo; i < hi; ++i) owner[i] = w.id;
-      });
-  // Contiguous, sorted, exactly-once cover.
-  for (std::size_t i = 1; i < n; ++i) {
-    ASSERT_NE(owner[i], -1);
-    EXPECT_GE(owner[i], owner[i - 1]);
-  }
-  // The heavy item's owner carries ~all the cost, so everything after the
-  // heavy item is spread over the remaining workers.
-  EXPECT_NE(owner[n - 1], owner[10]);
-}
-
-TEST(Device, ParallelWeightedRangesValidatesAndFallsBack) {
-  Device dev(3);
-  std::vector<double> weights(9, 1.0);
-  EXPECT_THROW(dev.parallel_weighted_ranges(
-                   0, 10, weights, [](Worker&, std::size_t, std::size_t) {}),
-               std::invalid_argument);
-  // All-zero (or negative) weights carry no cost information: the static
-  // equal-count partition is used instead.
-  std::vector<double> zeros(10, 0.0);
-  std::vector<int> owner(10, -1);
-  dev.parallel_weighted_ranges(0, 10, zeros,
-                               [&](Worker& w, std::size_t lo, std::size_t hi) {
-                                 for (std::size_t i = lo; i < hi; ++i) {
-                                   owner[i] = w.id;
-                                 }
-                               });
-  const std::size_t chunk = dev.chunk_size(0, 10);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(owner[i], static_cast<int>(i / chunk));
-  }
-}
-
-TEST(Device, ParallelWeightedRangesIsDeterministic) {
-  // The partition is a pure function of (weights, worker count): repeated
-  // runs must hand every worker the same range.
-  Device dev(4);
-  std::vector<double> weights(64);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<double>((i * 7919) % 13) + 0.5;
-  }
-  std::vector<int> first(64, -1), second(64, -2);
-  auto fill = [&](std::vector<int>& owner) {
-    dev.parallel_weighted_ranges(0, weights.size(), weights,
-                                 [&](Worker& w, std::size_t lo,
-                                     std::size_t hi) {
-                                   for (std::size_t i = lo; i < hi; ++i) {
-                                     owner[i] = w.id;
-                                   }
-                                 });
-  };
-  fill(first);
-  fill(second);
-  EXPECT_EQ(first, second);
-}
-
 TEST(Device, WorkerBusyGaugesAccumulate) {
   Device dev(2);
   EXPECT_EQ(dev.busy_worker_count(), 0);

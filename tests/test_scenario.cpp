@@ -173,9 +173,7 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     opt.async = async ? 1 : 0;
     nbody::Simulation sim(
         sc.make(fc.n, fc.workload_seed),
-        testkit::scenario_fuzz_config(sc, fc.rebuild_interval,
-                                      gravity::WalkSchedule::Static),
-        opt);
+        testkit::scenario_fuzz_config(sc, fc.rebuild_interval), opt);
     sim.run(fc.steps);
     return testkit::pack_state(sim.particles());
   };

@@ -134,7 +134,7 @@ DefaultRun run_default_config(int workers, bool async) {
 }
 
 TEST(Simulation, DefaultConfigIsDeterministicAcrossDevices) {
-  // Auto-tuned rebuilds and the default walk schedule on block steps: the
+  // Auto-tuned rebuilds and the walk's work queue on block steps: the
   // tuner is fed modelled seconds, so the worker count and scheduler mode
   // change neither the rebuild steps nor the bits. (A tuner fed host
   // wall-clock seconds rebuilds on different steps run to run over this
@@ -243,9 +243,9 @@ TEST(Simulation, ThrowsOnEmptyParticleSet) {
 
 TEST(Simulation, RandomizedLaunchSchedulesAreBitIdenticalToSyncReference) {
   // Seeded stress: run the step loop on the asynchronous engine under a
-  // batch of seeds, each selecting a walk schedule and SIMD substrate, and
-  // require bit-identical particle state against the synchronous reference
-  // run — every seed is a full repro token if this ever fails.
+  // batch of seeds, each selecting a SIMD substrate, and require
+  // bit-identical particle state against the synchronous reference run —
+  // every seed is a full repro token if this ever fails.
   testkit::FuzzConfig cfg;
   cfg.n = 128;
   cfg.steps = 8;

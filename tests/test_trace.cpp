@@ -193,6 +193,35 @@ TEST(MetricsRegistry, CountsNegativeOverlapSteps) {
   EXPECT_NEAR(m.overlap_seconds_total(), 5e-4, 1e-9);
 }
 
+TEST(MetricsRegistry, WeightsWalkImbalanceByWalkSeconds) {
+  MetricsRegistry m;
+  // A short skewed step and a long balanced one: the plain mean counts
+  // them alike, the walk-seconds weighted mean follows the long step.
+  runtime::StepMark skewed;
+  skewed.index = 1;
+  skewed.walk_imbalance = 3.0;
+  skewed.walk_seconds = 1e-3;
+  runtime::StepMark balanced;
+  balanced.index = 2;
+  balanced.walk_imbalance = 1.0;
+  balanced.walk_seconds = 9e-3;
+  // No walk timing: excluded from both means.
+  runtime::StepMark untimed;
+  untimed.index = 3;
+  m.record_step(skewed);
+  m.record_step(balanced);
+  m.record_step(untimed);
+  EXPECT_EQ(m.imbalance_steps(), 2u);
+  EXPECT_DOUBLE_EQ(m.imbalance_mean(), 2.0);
+  EXPECT_DOUBLE_EQ(m.imbalance_walk_weighted_mean(),
+                   (3.0 * 1e-3 + 1.0 * 9e-3) / 1e-2);
+  EXPECT_NE(m.imbalance_walk_weighted_mean(), m.imbalance_mean());
+  std::ostringstream os;
+  m.print(os);
+  EXPECT_NE(os.str().find("walk-seconds weighted"), std::string::npos);
+  EXPECT_EQ(MetricsRegistry{}.imbalance_walk_weighted_mean(), 0.0);
+}
+
 TEST(MetricsRegistry, PrintsPerKernelTable) {
   MetricsRegistry m;
   m.record_launch(synthetic_record(Kernel::WalkTree, 1, 0.0, 1e-3));

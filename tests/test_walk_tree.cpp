@@ -363,125 +363,90 @@ TEST(WalkTree, RejectsNonPositiveEps) {
 }
 
 TEST(WalkTree, SchedulesAreBitIdenticalAcrossWorkerCounts) {
+  // The work queue picks who walks a group, never what it computes: every
+  // activity mask must give the 1-worker bits at 3 and 4 workers.
   System s = plummer(4096, 14);
   s.build();
   const auto groups = walk_groups(s.tree, s.x, s.y, s.z);
-  // Block-step-style activity: two thirds of the groups active.
-  std::vector<std::uint8_t> active(groups.size(), 1);
-  for (std::size_t g = 2; g < active.size(); g += 3) active[g] = 0;
+  const std::size_t ng = groups.size();
+  ASSERT_GE(ng, 64u);
+
+  // Masks: every group active; two thirds active; one contiguous active
+  // run shorter than one chunk of a queue over *all* groups at 4 workers
+  // (ng / 32 groups) — the clustered sparse block step, which such a queue
+  // hands to a single worker; no group active.
+  std::vector<std::uint8_t> two_thirds(ng, 1);
+  for (std::size_t g = 2; g < ng; g += 3) two_thirds[g] = 0;
+  std::vector<std::uint8_t> short_run(ng, 0);
+  const std::size_t run_len = ng / 32 - 1;
+  ASSERT_GE(run_len, 2u);
+  for (std::size_t g = ng / 2; g < ng / 2 + run_len; ++g) short_run[g] = 1;
+  const std::vector<std::uint8_t> none(ng, 0);
+  const std::vector<std::vector<std::uint8_t>> masks = {
+      {}, two_thirds, short_run, none};
 
   WalkConfig cfg;
   cfg.eps = kEps;
   cfg.mac.type = MacType::OpeningAngle;
 
-  auto run = [&](WalkSchedule schedule, GroupCosts* costs) {
-    cfg.schedule = schedule;
+  auto run = [&](int workers, std::span<const std::uint8_t> active) {
+    runtime::Device dev(workers, /*async=*/0);
+    runtime::ScopedDevice scope(dev);
     ForceResult r;
     r.ax.assign(s.n(), real(0));
     r.ay.assign(s.n(), real(0));
     r.az.assign(s.n(), real(0));
     r.pot.assign(s.n(), real(0));
-    walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, r.ax, r.ay, r.az, r.pot,
-              nullptr, nullptr, active, groups, costs);
+    GroupCosts costs;
+    // Two walks on one cost state: the second reuses the retained queue.
+    for (int rep = 0; rep < 2; ++rep) {
+      walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, r.ax, r.ay, r.az, r.pot,
+                nullptr, nullptr, active, groups, &costs);
+    }
     return r;
   };
 
-  const ForceResult ref = run(WalkSchedule::Static, nullptr);
-  for (const int workers : {1, 3, 4}) {
-    runtime::Device dev(workers, /*async=*/0);
-    runtime::ScopedDevice scope(dev);
-    GroupCosts costs;
-    GroupCosts auto_costs;
-    // Two cost-weighted walks: the first partitions on the uniform seed,
-    // the second on measured costs — both must stay bit-identical. Auto
-    // rides along with its own cost vector so its internal branch choice
-    // (here CostWeighted: only two thirds of the groups are active) is
-    // exercised against the same reference.
-    for (int rep = 0; rep < 2; ++rep) {
-      for (const auto schedule :
-           {WalkSchedule::Static, WalkSchedule::Dynamic,
-            WalkSchedule::CostWeighted, WalkSchedule::Auto}) {
-        GroupCosts* c = schedule == WalkSchedule::CostWeighted ? &costs
-                        : schedule == WalkSchedule::Auto      ? &auto_costs
-                                                              : nullptr;
-        const ForceResult r = run(schedule, c);
-        EXPECT_TRUE(r.ax == ref.ax && r.ay == ref.ay && r.az == ref.az &&
-                    r.pot == ref.pot)
-            << "workers = " << workers
-            << ", schedule = " << static_cast<int>(schedule)
-            << ", rep = " << rep;
-      }
+  for (std::size_t mi = 0; mi < masks.size(); ++mi) {
+    const ForceResult ref = run(1, masks[mi]);
+    for (const int workers : {3, 4}) {
+      const ForceResult r = run(workers, masks[mi]);
+      EXPECT_TRUE(r.ax == ref.ax && r.ay == ref.ay && r.az == ref.az &&
+                  r.pot == ref.pot)
+          << "mask = " << mi << ", workers = " << workers;
     }
   }
 }
 
-TEST(WalkTree, AutoScheduleResolvesBothBranchesBitIdentically) {
-  System s = plummer(4096, 17);
+TEST(WalkTree, ActiveQueueReusesRetainedCapacity) {
+  System s = plummer(2048, 18);
   s.build();
   const auto groups = walk_groups(s.tree, s.x, s.y, s.z);
   ASSERT_GE(groups.size(), 4u);
+  std::vector<std::uint8_t> active(groups.size(), 1);
+  active[1] = 0;
 
   WalkConfig cfg;
   cfg.eps = kEps;
   cfg.mac.type = MacType::OpeningAngle;
-
-  auto run = [&](WalkSchedule schedule, std::span<const std::uint8_t> active,
-                 GroupCosts* costs) {
-    cfg.schedule = schedule;
-    ForceResult r;
-    r.ax.assign(s.n(), real(0));
-    r.ay.assign(s.n(), real(0));
-    r.az.assign(s.n(), real(0));
-    r.pot.assign(s.n(), real(0));
-    walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, r.ax, r.ay, r.az, r.pot,
-              nullptr, nullptr, active, groups, costs);
-    return r;
-  };
-
-  runtime::Device dev(3, /*async=*/0);
-  runtime::ScopedDevice scope(dev);
-
-  // Without a cost vector Auto can only degrade to the static split.
-  const ForceResult ref_all = run(WalkSchedule::Static, {}, nullptr);
-  EXPECT_EQ(run(WalkSchedule::Auto, {}, nullptr).ax, ref_all.ax);
-
-  // Branch 1 — near-uniform step: every group active, previous walk
-  // balanced (fresh vector, last_imbalance == 0) -> the static split.
-  // Only the cost-weighted path touches costs.weights, so an untouched
-  // weights vector is the witness of the branch taken.
+  std::vector<real> ax(s.n()), ay(s.n()), az(s.n());
   GroupCosts costs;
-  costs.reset(groups.size());
-  costs.weights.clear();
-  const ForceResult a1 = run(WalkSchedule::Auto, {}, &costs);
-  EXPECT_TRUE(costs.weights.empty())
-      << "all-active balanced step should take the static branch";
-  EXPECT_TRUE(a1.ax == ref_all.ax && a1.ay == ref_all.ay &&
-              a1.az == ref_all.az && a1.pot == ref_all.pot);
+  walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, ax, ay, az, {}, nullptr,
+            nullptr, active, groups, &costs);
+  // The queue holds exactly the active group indices, in group order.
+  ASSERT_EQ(costs.active.size(), groups.size() - 1);
+  EXPECT_EQ(costs.active[0], 0u);
+  EXPECT_EQ(costs.active[1], 2u);
 
-  // Branch 2 — skewed history: same activity, but the previous walk left
-  // workers imbalanced beyond tolerance -> the measured partition.
-  costs.last_imbalance = kAutoImbalanceTolerance * 4.0;
-  const ForceResult a2 = run(WalkSchedule::Auto, {}, &costs);
-  EXPECT_EQ(costs.weights.size(), groups.size())
-      << "imbalanced history should take the cost-weighted branch";
-  EXPECT_TRUE(a2.ax == ref_all.ax && a2.ay == ref_all.ay &&
-              a2.az == ref_all.az && a2.pot == ref_all.pot);
-
-  // Branch 3 — sparse step: one group in three active (frac < 0.75)
-  // forces the cost-weighted branch even with a balanced history.
-  std::vector<std::uint8_t> sparse(groups.size(), 0);
-  for (std::size_t g = 0; g < sparse.size(); g += 3) sparse[g] = 1;
-  const ForceResult ref_sparse = run(WalkSchedule::Static, sparse, nullptr);
-  GroupCosts costs2;
-  costs2.reset(groups.size());
-  costs2.weights.clear();
-  const ForceResult a3 = run(WalkSchedule::Auto, sparse, &costs2);
-  EXPECT_EQ(costs2.weights.size(), groups.size())
-      << "sparse step should take the cost-weighted branch";
-  EXPECT_TRUE(a3.ax == ref_sparse.ax && a3.ay == ref_sparse.ay &&
-              a3.az == ref_sparse.az && a3.pot == ref_sparse.pot);
-  // The walk recorded the step's imbalance for the next Auto decision.
-  EXPECT_GE(costs2.last_imbalance, 1.0);
+  // A later walk over no more active groups reuses the same storage.
+  const std::size_t* storage = costs.active.data();
+  const std::size_t capacity = costs.active.capacity();
+  active.assign(groups.size(), 0);
+  active[3] = 1;
+  walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, ax, ay, az, {}, nullptr,
+            nullptr, active, groups, &costs);
+  EXPECT_EQ(costs.active, std::vector<std::size_t>{3});
+  EXPECT_EQ(costs.active.data(), storage);
+  EXPECT_EQ(costs.active.capacity(), capacity);
 }
 
 TEST(WalkTree, CostVectorIsRecordedReseededAndRetained) {
@@ -495,7 +460,6 @@ TEST(WalkTree, CostVectorIsRecordedReseededAndRetained) {
   WalkConfig cfg;
   cfg.eps = kEps;
   cfg.mac.type = MacType::OpeningAngle;
-  cfg.schedule = WalkSchedule::CostWeighted;
 
   // Wrong-sized vector: the walk must re-seed it to the decomposition.
   GroupCosts costs;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a ThreadSanitizer pass over the runtime layer.
 #
-#   tools/check.sh            # full: verify (both schedulers) + TSan
+#   tools/check.sh            # full: verify (both schedulers) + bench-off
+#                             # build + TSan
 #   tools/check.sh --fast     # verify only
 #
 # The tier-1 suite runs twice: once with GOTHIC_ASYNC=1 (the default
@@ -23,7 +24,7 @@
 # combination.
 #
 # The fuzz stage drives gothic_fuzz — seeded async runs of the step loop
-# (walk schedule and SIMD substrate from the seed) checked bit-identical
+# (SIMD substrate from the seed) checked bit-identical
 # against the synchronous reference, plus fault-injection plans
 # (launch-body throws, leader stalls) checked for first-wins error
 # propagation and device reuse — under both scheduler modes. Its scenario
@@ -45,6 +46,10 @@
 #
 # The perfbench stage runs the benchmark of record's self-test (an
 # impossible tolerance must be counted as failed).
+#
+# The bench-off stage builds the default target of a tree configured with
+# GOTHIC_BUILD_BENCH=OFF (build-nobench/), so no test or tool depends on a
+# bench-only target.
 #
 # The TSan stage rebuilds test_runtime, test_walk_tree, test_service and
 # gothic_fuzz in a separate build tree (build-tsan/) with
@@ -129,10 +134,11 @@ done
 echo "telemetry stage passed"
 
 echo "== bench smoke: load balancing (both scheduler modes) =="
-# bench_balance compares the three walk schedules at a small N, asserts
-# bit-identical accelerations, and must emit a BENCH_balance.json that
-# passes both a raw JSON parse and the golden-schema test. 4 workers so
-# the imbalance ratio is meaningful on single-core CI runners.
+# bench_balance walks the work queue at a small N over four activity
+# fractions, exits nonzero unless every walk is bit-identical to a
+# 1-worker walk, and must emit a BENCH_balance.json that passes both a
+# raw JSON parse and the golden-schema test. 4 workers so the imbalance
+# ratio is meaningful on single-core CI runners.
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
   (cd build &&
@@ -283,6 +289,11 @@ echo "perfbench self-test passed"
 if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
+
+echo "== bench-off build: default target without the bench harness =="
+cmake -B build-nobench -S . -DGOTHIC_BUILD_BENCH=OFF >/dev/null
+cmake --build build-nobench -j
+echo "bench-off build passed"
 
 echo "== TSan: runtime + walk_tree + service + fuzz (both scheduler modes) =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \

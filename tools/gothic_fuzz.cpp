@@ -3,17 +3,17 @@
 //
 // Legs, each optional:
 //   --schedules=N   seeded sweep: N async runs of the step loop, each seed
-//                   selecting the walk schedule and SIMD substrate, each
-//                   compared bit-for-bit against the synchronous
-//                   reference. A failing run prints its 64-bit seed; that
-//                   seed alone reproduces the exact run.
+//                   selecting the SIMD substrate, each compared
+//                   bit-for-bit against the synchronous reference. A
+//                   failing run prints its 64-bit seed; that seed alone
+//                   reproduces the exact run.
 //   --faults=N      N randomized fault plans (launch-body exceptions,
 //                   leader stalls) through a cross-stream DAG, asserting
 //                   the error contract: one first-wins error, device
 //                   reusable after.
-//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode, walk
-//                   schedule and SIMD substrate from the seed), each
-//                   compared bit-for-bit against the unsharded synchronous
+//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode and
+//                   SIMD substrate from the seed), each compared
+//                   bit-for-bit against the unsharded synchronous
 //                   reference.
 //   --shard-faults=N  N launch-body throws injected into one shard of a
 //                   sharded step (devices follow GOTHIC_ASYNC), asserting
@@ -27,9 +27,9 @@
 //                   its solo run, every failure carried by one session.
 //   --scenarios=N   N seeded scenario runs: each seed hashes to a
 //                   scenario-registry entry (ICs + force law) and encodes
-//                   walk schedule, async mode, shard count and SIMD
-//                   substrate in its bits, compared bit-for-bit against
-//                   that scenario's synchronous reference.
+//                   async mode, shard count and SIMD substrate in its
+//                   bits, compared bit-for-bit against that scenario's
+//                   synchronous reference.
 //
 //   --replay=SEED   re-run one seeded run (accepts 0x... hex) and print
 //                   its configuration — the repro entry point.

@@ -99,7 +99,7 @@ int main() {
   std::sort(by_amag.begin(), by_amag.end(),
             [&](std::size_t a, std::size_t b) { return amag[a] > amag[b]; });
 
-  runtime::Device serial(1, /*async=*/0);
+  runtime::Device serial(1);
   bool all_identical = true;
   for (const double frac : {1.0, 0.5, 0.2, 0.05}) {
     const auto n_active =

@@ -34,8 +34,8 @@ int main() {
   Table t("Fig 3 - elapsed time per step [s] vs Ntot (V100 compute_60, "
           "dacc=2^-9)",
           {"Ntot", "total", "walkTree", "calcNode", "makeTree", "pred/corr"});
-  Table ov("Achieved stream overlap per step [s] (this machine, "
-           "GOTHIC_ASYNC scheduler)",
+  Table ov("Achieved launch overlap per step [s] (this machine, "
+           "synchronous launches)",
            {"Ntot", "kernel-sum", "step-wall", "overlap", "walk-imbalance"});
   double prev_total = 0.0;
   bool monotone = true;
@@ -59,8 +59,8 @@ int main() {
   t.print(std::cout);
   ov.print(std::cout);
   std::cout << "overlap = sum of kernel seconds - step wall span: 0 by "
-               "construction for this single-device step (a device is one "
-               "FIFO lane; only K > 1 shards overlap across devices).\n";
+               "construction for this single-device step (launches run "
+               "synchronously; only K > 1 shards overlap across devices).\n";
   std::cout << "expected shape: gravity dominates; total "
             << (monotone ? "grows monotonically with Ntot"
                          : "NON-MONOTONE (unexpected)")

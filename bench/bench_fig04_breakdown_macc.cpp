@@ -31,8 +31,8 @@ int main() {
   Table t("Fig 4 - breakdown of elapsed time per step [s] (V100 compute_60)",
           {"dacc", "total", "walkTree", "calcNode", "makeTree", "pred/corr",
            "rebuild-interval"});
-  Table ov("Achieved stream overlap per step [s] (this machine, "
-           "GOTHIC_ASYNC scheduler)",
+  Table ov("Achieved launch overlap per step [s] (this machine, "
+           "synchronous launches)",
            {"dacc", "kernel-sum", "step-wall", "overlap"});
   double calc_min = 1e30, calc_max = 0;
   for (const double dacc : dacc_sweep(scale.dacc_min_exp)) {
@@ -51,8 +51,8 @@ int main() {
   t.print(std::cout);
   ov.print(std::cout);
   std::cout << "overlap = sum of kernel seconds - step wall span: 0 by "
-               "construction for this single-device step (a device is one "
-               "FIFO lane; only K > 1 shards overlap across devices).\n";
+               "construction for this single-device step (launches run "
+               "synchronously; only K > 1 shards overlap across devices).\n";
   std::cout << "calcNode spread across the sweep: "
             << Table::fix(calc_max / calc_min, 2)
             << "x (paper: flat; walkTree and the rebuild interval carry all "

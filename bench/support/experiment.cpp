@@ -32,7 +32,6 @@ BenchScale BenchScale::from_env() {
   s.steps = static_cast<int>(env_size("GOTHIC_BENCH_STEPS", 1));
   s.dacc_min_exp = static_cast<int>(env_size("GOTHIC_BENCH_DACC_MIN", 14));
   s.threads = runtime::Device::default_workers();
-  s.async = runtime::Device::default_async();
   s.simd = simt::simd_enabled();
   return s;
 }

@@ -28,7 +28,6 @@ struct BenchScale {
   int steps;            ///< measured steps per configuration
   int dacc_min_exp;     ///< sweep reaches 2^-dacc_min_exp
   int threads;          ///< runtime::Device workers (GOTHIC_THREADS override)
-  bool async;           ///< stream-scheduling default (GOTHIC_ASYNC)
   bool simd;            ///< AVX2 lane substrate in effect (GOTHIC_SIMD)
   static BenchScale from_env();
 };
@@ -46,7 +45,7 @@ struct StepProfile {
   /// Measured host-side launch timing of the profiled steps (per-step
   /// averages): the sum of kernel body seconds vs the first-start-to-
   /// last-end wall span of the step's launch DAG. Their gap is the overlap
-  /// the asynchronous stream scheduler achieved on this machine.
+  /// achieved on this machine (0 for one device: launches run in turn).
   double measured_kernel_seconds = 0.0;
   double measured_wall_seconds = 0.0;
 

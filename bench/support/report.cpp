@@ -83,7 +83,6 @@ void BenchReport::set_scale(const BenchScale& scale) {
                 ", \"steps\": " + std::to_string(scale.steps) +
                 ", \"dacc_min_exp\": " + std::to_string(scale.dacc_min_exp) +
                 ", \"threads\": " + std::to_string(scale.threads) +
-                ", \"async\": " + (scale.async ? "true" : "false") +
                 ", \"simd\": " + (scale.simd ? "true" : "false") + "}";
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace gothic::nbody {
@@ -64,6 +65,9 @@ struct Simulation::Shard {
   std::uint64_t let_bodies = 0; ///< bodies imported this step
 
   gravity::WalkStats stats;
+  /// This step's launches, the recorded DAG's cross-phase edges (null
+  /// when the shard skipped the phase).
+  runtime::Event e_pred, e_calc, e_let, e_walk;
 
   [[nodiscard]] runtime::Device& device() const {
     return dev ? *dev : runtime::Device::current();
@@ -88,6 +92,12 @@ Simulation::Simulation(Particles particles, SimConfig cfg, ShardOptions opt,
   }
   if (opt.shards < 1) {
     throw std::invalid_argument(engine_name() + ": need at least one shard");
+  }
+  // One host-team member per shard, and a device holds at most kMaxWorkers.
+  if (opt.shards > runtime::Device::kMaxWorkers) {
+    throw std::invalid_argument(
+        engine_name() + ": at most " +
+        std::to_string(runtime::Device::kMaxWorkers) + " shards");
   }
   const std::size_t n = particles_.size();
   px_.resize(n);
@@ -115,14 +125,15 @@ Simulation::Simulation(Particles particles, SimConfig cfg, ShardOptions opt,
     sh->integrate_name = cfg_.stream_prefix + dir + "integrate";
     sh->tree_stream = runtime::Stream(sh->tree_name.c_str());
     sh->integrate_stream = runtime::Stream(sh->integrate_name.c_str());
-    if (own_devices_) {
-      sh->dev = std::make_unique<runtime::Device>(opt.workers, opt.async);
-    }
+    if (own_devices_) sh->dev = std::make_unique<runtime::Device>(opt.workers);
     shards_.push_back(std::move(sh));
+  }
+  if (opt.shards > 1) {
+    host_team_ = std::make_unique<runtime::Device>(opt.shards);
   }
 
   try {
-    rebuild({});
+    rebuild(/*with_pred=*/false);
     bootstrap_forces();
   } catch (...) {
     dump_flight(engine_name() + " bootstrap error");
@@ -178,12 +189,23 @@ void Simulation::permute_cost() {
   body_cost_.swap(cost_buf_);
 }
 
-void Simulation::rebuild(std::span<const runtime::Event> e_pred) {
+template <typename Fn>
+void Simulation::for_each_shard(Fn&& phase) {
+  if (!host_team_) {
+    phase(*shards_[0]);
+    return;
+  }
+  host_team_->for_workers([this, &phase](runtime::Worker& w) {
+    phase(*shards_[static_cast<std::size_t>(w.id)]);
+  });
+}
+
+void Simulation::rebuild(bool with_pred) {
   Shard& c = *shards_[0];
   runtime::Device& dev = c.device();
 
-  // Build: read-only on the particle state, so it overlaps the predict
-  // launches drifting the same particles on the integration streams.
+  // Build: read-only on the particle state (predict writes only the
+  // predicted positions).
   runtime::LaunchDesc desc;
   desc.kernel = Kernel::MakeTree;
   desc.label = "makeTree";
@@ -197,54 +219,46 @@ void Simulation::rebuild(std::span<const runtime::Event> e_pred) {
 
   // Permute: the join of the streams. It reorders the particle state
   // (which predict reads) and the predicted positions (which predict
-  // writes), so it must wait for every predict: shard 0's is a device-side
-  // dependency, remote shards' are joined on the host (events do not
-  // cross devices). Elementwise prediction commutes with the permutation,
-  // so the result is identical to predicting after the reorder.
-  for (std::size_t s = 1; s < e_pred.size(); ++s) e_pred[s].wait();
-  const bool with_pred = !e_pred.empty();
+  // writes), so it follows every predict: shard 0's is a recorded
+  // dependency, the other shards' finished with the predict phase (events
+  // do not cross devices). Elementwise prediction commutes with the
+  // permutation, so the result is identical to predicting after the
+  // reorder.
   runtime::LaunchDesc jd;
   jd.kernel = Kernel::MakeTree;
   jd.label = "makeTree(permute)";
   jd.items = particles_.size();
   jd.stream = &c.tree_stream;
-  if (with_pred) jd.deps = {e_pred[0]};
+  jd.deps = {c.e_pred};
   jd.sink = &c.sink;
   const bool sharded = shard_count() > 1;
-  const runtime::Event e_perm =
-      dev.launch(jd, [this, with_pred, sharded](simt::OpCounts& ops) {
-        (void)ops;
-        particles_.apply_permutation(perm_);
-        if (steps_.size() == particles_.size()) steps_.apply_permutation(perm_);
-        if (with_pred) {
-          permute_scratch(px_);
-          permute_scratch(py_);
-          permute_scratch(pz_);
-        }
-        groups_ = gravity::walk_groups(tree_, particles_.x, particles_.y,
-                                       particles_.z);
-        group_active_.assign(groups_.size(), 1);
-        // The decomposition changed, so the measured per-group costs no
-        // longer index anything meaningful — re-seed uniform. K > 1 then
-        // rebuilds them from the permuted per-body costs, so the shard
-        // split's cost signal survives the reorder.
-        group_costs_.reset(groups_.size());
-        if (!sharded) return;
-        permute_cost();
-        if (body_cost_.size() != particles_.size()) return;
-        for (std::size_t g = 0; g < groups_.size(); ++g) {
-          double sum = 0.0;
-          const std::size_t lo = groups_[g].first;
-          const std::size_t hi = lo + groups_[g].count;
-          for (std::size_t i = lo; i < hi; ++i) sum += body_cost_[i];
-          group_costs_.cost[g] = sum;
-        }
-      });
-  // Host join: the tree being measured and the groups and block levels
-  // the step's bookkeeping reads were all just rewritten. It costs no
-  // kernel concurrency — everything issued after it depends on the
-  // permute anyway, and predict/build are already in flight.
-  e_perm.wait();
+  dev.launch(jd, [this, with_pred, sharded](simt::OpCounts&) {
+    particles_.apply_permutation(perm_);
+    if (steps_.size() == particles_.size()) steps_.apply_permutation(perm_);
+    if (with_pred) {
+      permute_scratch(px_);
+      permute_scratch(py_);
+      permute_scratch(pz_);
+    }
+    groups_ = gravity::walk_groups(tree_, particles_.x, particles_.y,
+                                   particles_.z);
+    group_active_.assign(groups_.size(), 1);
+    // The decomposition changed, so the measured per-group costs no
+    // longer index anything meaningful — re-seed uniform. K > 1 then
+    // rebuilds them from the permuted per-body costs, so the shard
+    // split's cost signal survives the reorder.
+    group_costs_.reset(groups_.size());
+    if (!sharded) return;
+    permute_cost();
+    if (body_cost_.size() != particles_.size()) return;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      double sum = 0.0;
+      const std::size_t lo = groups_[g].first;
+      const std::size_t hi = lo + groups_[g].count;
+      for (std::size_t i = lo; i < hi; ++i) sum += body_cost_[i];
+      group_costs_.cost[g] = sum;
+    }
+  });
   ++rebuilds_;
   steps_since_rebuild_ = 0;
 }
@@ -299,7 +313,6 @@ void Simulation::bootstrap_forces() {
                        particles_.az, particles_.pot, &ops, nullptr, {},
                        groups_, &group_costs_);
   });
-  dev.synchronize();
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     particles_.aold_mag[i] = std::sqrt(
         particles_.ax[i] * particles_.ax[i] +
@@ -493,22 +506,16 @@ StepReport Simulation::step() {
     sh->stats = gravity::WalkStats{};
     sh->let_cells = 0;
     sh->let_bodies = 0;
+    sh->e_pred = sh->e_calc = sh->e_let = sh->e_walk = runtime::Event{};
   }
 
   report.dt = steps_.advance();
   ++step_count_;
 
-  std::vector<runtime::Event> e_pred(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_calc(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_let(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_walk(static_cast<std::size_t>(k));
-
   try {
-    // --- predict: each shard drifts its own contiguous body slice; goes
-    // first so the tree build can overlap it ----------------------------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.body_end <= sh.body_begin) continue;
+    // --- predict: each shard drifts its own contiguous body slice ------
+    for_each_shard([this](Shard& sh) {
+      if (sh.body_end <= sh.body_begin) return;
       runtime::LaunchDesc pd;
       pd.kernel = Kernel::PredictCorrect;
       pd.label = "predict";
@@ -517,19 +524,18 @@ StepReport Simulation::step() {
       pd.sink = &sh.sink;
       const std::size_t b0 = sh.body_begin;
       const std::size_t b1 = sh.body_end;
-      e_pred[static_cast<std::size_t>(s)] =
-          sh.device().launch(pd, [this, b0, b1](simt::OpCounts& ops) {
-            predict_positions_range(particles_, steps_, px_, py_, pz_, b0,
-                                    b1, &ops);
-          });
-    }
+      sh.e_pred = sh.device().launch(pd, [this, b0, b1](simt::OpCounts& ops) {
+        predict_positions_range(particles_, steps_, px_, py_, pz_, b0, b1,
+                                &ops);
+      });
+    });
 
     // --- rebuild, either auto-tuned (GOTHIC) or on a fixed cadence -------
     const bool due = cfg_.auto_rebuild
                          ? policy_.should_rebuild()
                          : steps_since_rebuild_ >= cfg_.fixed_rebuild_interval;
     if (due) {
-      rebuild(e_pred);
+      rebuild(/*with_pred=*/true);
       report.rebuilt = true;
       refresh_partition();
     }
@@ -537,18 +543,17 @@ StepReport Simulation::step() {
     // --- calcNode: refresh the node multipoles from the predicted
     // positions — the whole tree (K = 1) or each shard's owned node
     // ranges. The dependency on predict orders the cross-stream read. ---
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sharded && sh.owned_count == 0) continue;
+    for_each_shard([this, sharded](Shard& sh) {
+      if (sharded && sh.owned_count == 0) return;
       runtime::LaunchDesc cd;
       cd.kernel = Kernel::CalcNode;
       cd.label = "calcNode";
       cd.items = sharded ? sh.owned_count : tree_.num_nodes();
       cd.stream = &sh.tree_stream;
-      cd.deps = {e_pred[static_cast<std::size_t>(s)]};
+      cd.deps = {sh.e_pred};
       cd.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_calc[static_cast<std::size_t>(s)] =
+      const Shard* shp = &sh;
+      sh.e_calc =
           sh.device().launch(cd, [this, shp, sharded](simt::OpCounts& ops) {
             if (sharded) {
               octree::calc_node_ranges(tree_, px_, py_, pz_, particles_.m,
@@ -558,33 +563,22 @@ StepReport Simulation::step() {
                                 cfg_.calc, &ops);
             }
           });
-    }
+    });
 
-    if (sharded) {
-      // Host join: the top summarise, the LET bounds and every letImport
-      // read predicted positions and shard-computed node geometry across
-      // devices (events cannot cross devices; the host coordinates).
-      for (const runtime::Event& e : e_pred) e.wait();
-      for (const runtime::Event& e : e_calc) e.wait();
-
-      // Top pass: finish the nodes straddling shard boundaries.
-      if (top_count_ > 0) {
-        Shard& c = *shards_[0];
-        runtime::LaunchDesc td;
-        td.kernel = Kernel::CalcNode;
-        td.label = "calcNode(top)";
-        td.items = top_count_;
-        td.stream = &c.tree_stream;
-        td.sink = &c.sink;
-        c.device()
-            .launch(td,
-                    [this](simt::OpCounts& ops) {
-                      octree::calc_node_ranges(tree_, px_, py_, pz_,
-                                               particles_.m, cfg_.calc, top_,
-                                               &ops);
-                    })
-            .wait();
-      }
+    // --- top pass (K > 1): finish the nodes straddling shard boundaries,
+    // once every shard summarised its own -------------------------------
+    if (sharded && top_count_ > 0) {
+      Shard& c = *shards_[0];
+      runtime::LaunchDesc td;
+      td.kernel = Kernel::CalcNode;
+      td.label = "calcNode(top)";
+      td.items = top_count_;
+      td.stream = &c.tree_stream;
+      td.sink = &c.sink;
+      c.device().launch(td, [this](simt::OpCounts& ops) {
+        octree::calc_node_ranges(tree_, px_, py_, pz_, particles_.m, cfg_.calc,
+                                 top_, &ops);
+      });
     }
 
     // --- group activity: flag the groups containing fired particles
@@ -603,77 +597,62 @@ StepReport Simulation::step() {
       group_active_[g] = any;
     }
 
-    // --- LET bounds (host) + per-shard import ----------------------------
-    const std::span<const gravity::GroupSpan> all_groups(groups_);
-    const std::span<const std::uint8_t> all_active(group_active_);
-    for (int s = 0; sharded && s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      sh.bounds = gravity::LetBounds{};
-      const std::size_t gcount = sh.group_end - sh.group_begin;
-      if (gcount == 0) continue;
-      sh.bounds = gravity::let_bounds(
-          px_, py_, pz_, particles_.aold_mag,
-          all_groups.subspan(sh.group_begin, gcount),
-          all_active.subspan(sh.group_begin, gcount), cfg_.walk.mode);
-      runtime::LaunchDesc ld;
-      ld.kernel = Kernel::MakeTree;
-      ld.label = "letImport";
-      ld.items = tree_.num_nodes();
-      ld.stream = &sh.tree_stream;
-      ld.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_let[static_cast<std::size_t>(s)] =
-          sh.device().launch(ld, [this, shp](simt::OpCounts& ops) {
-            let_import(*shp);
-            // Data motion: poison + copy of the view arrays.
-            ops.bytes_store +=
-                (static_cast<std::uint64_t>(shp->view.num_nodes()) * 20 +
-                 static_cast<std::uint64_t>(shp->vx.size()) * 12);
-          });
-    }
+    // --- per shard: LET bounds + import (K > 1), then the walk over the
+    // global tree (K = 1) or the shard's view, then correct --------------
+    for_each_shard([this, sharded](Shard& sh) {
+      const std::size_t gb = sh.group_begin;
+      const std::size_t gcount = sh.group_end - gb;
+      const std::span<const std::uint8_t> active =
+          std::span<const std::uint8_t>(group_active_).subspan(gb, gcount);
+      const std::span<const gravity::GroupSpan> groups =
+          std::span<const gravity::GroupSpan>(groups_).subspan(gb, gcount);
+      if (sharded) sh.bounds = gravity::LetBounds{};
+      if (sharded && gcount > 0) {
+        sh.bounds = gravity::let_bounds(px_, py_, pz_, particles_.aold_mag,
+                                        groups, active, cfg_.walk.mode);
+        runtime::LaunchDesc ld;
+        ld.kernel = Kernel::MakeTree;
+        ld.label = "letImport";
+        ld.items = tree_.num_nodes();
+        ld.stream = &sh.tree_stream;
+        ld.sink = &sh.sink;
+        Shard* shp = &sh;
+        sh.e_let = sh.device().launch(ld, [this, shp](simt::OpCounts& ops) {
+          let_import(*shp);
+          // Data motion: poison + copy of the view arrays.
+          ops.bytes_store +=
+              (static_cast<std::uint64_t>(shp->view.num_nodes()) * 20 +
+               static_cast<std::uint64_t>(shp->vx.size()) * 12);
+        });
+      }
 
-    // --- walk: each shard's groups over the global tree (K = 1) or its
-    // own view; joins the predicted positions and the node multipoles ---
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      const std::size_t gcount = sh.group_end - sh.group_begin;
-      if (gcount == 0) continue;
-      runtime::LaunchDesc wd;
-      wd.kernel = Kernel::WalkTree;
-      wd.label = "walkTree";
-      wd.items = gcount;
-      wd.stream = &sh.tree_stream;
-      wd.deps = {e_pred[static_cast<std::size_t>(s)],
-                 sharded ? e_let[static_cast<std::size_t>(s)]
-                         : e_calc[static_cast<std::size_t>(s)]};
-      wd.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_walk[static_cast<std::size_t>(s)] =
-          sh.device().launch(wd, [this, shp, sharded](simt::OpCounts& ops) {
-            const std::size_t gb = shp->group_begin;
-            const std::size_t gc = shp->group_end - gb;
-            gravity::walk_tree(
-                sharded ? shp->view : tree_, sharded ? shp->vx : px_,
-                sharded ? shp->vy : py_, sharded ? shp->vz : pz_,
-                particles_.m, particles_.aold_mag, cfg_.walk, nax_, nay_,
-                naz_, npot_, &ops, &shp->stats,
-                std::span<const std::uint8_t>(group_active_).subspan(gb, gc),
-                std::span<const gravity::GroupSpan>(groups_).subspan(gb, gc),
-                sharded ? &shp->costs : &group_costs_);
-          });
-    }
+      if (gcount > 0) {
+        runtime::LaunchDesc wd;
+        wd.kernel = Kernel::WalkTree;
+        wd.label = "walkTree";
+        wd.items = gcount;
+        wd.stream = &sh.tree_stream;
+        wd.deps = {sh.e_pred, sharded ? sh.e_let : sh.e_calc};
+        wd.sink = &sh.sink;
+        Shard* shp = &sh;
+        sh.e_walk = sh.device().launch(
+            wd, [this, shp, sharded, active, groups](simt::OpCounts& ops) {
+              gravity::walk_tree(
+                  sharded ? shp->view : tree_, sharded ? shp->vx : px_,
+                  sharded ? shp->vy : py_, sharded ? shp->vz : pz_,
+                  particles_.m, particles_.aold_mag, cfg_.walk, nax_, nay_,
+                  naz_, npot_, &ops, &shp->stats, active, groups,
+                  sharded ? &shp->costs : &group_costs_);
+            });
+      }
 
-    // --- correct: each shard finalises its own slice once the new
-    // accelerations exist ------------------------------------------------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.body_end <= sh.body_begin) continue;
+      if (sh.body_end <= sh.body_begin) return;
       runtime::LaunchDesc kd;
       kd.kernel = Kernel::PredictCorrect;
       kd.label = "correct";
       kd.items = sh.body_end - sh.body_begin;
       kd.stream = &sh.integrate_stream;
-      kd.deps = {e_walk[static_cast<std::size_t>(s)]};
+      kd.deps = {sh.e_walk};
       kd.sink = &sh.sink;
       const std::size_t b0 = sh.body_begin;
       const std::size_t b1 = sh.body_end;
@@ -682,39 +661,17 @@ StepReport Simulation::step() {
                              naz_, npot_, cfg_.eta, cfg_.walk.eps, b0, b1,
                              &ops);
       });
-    }
+    });
   } catch (...) {
-    // Host-side issue failure: drain every device (swallowing their
-    // errors) so the next step starts from quiescent devices, then
-    // propagate what stopped the issue phase. The drain completes the
-    // in-flight records, so the incident dump below sees them.
-    for (auto& sh : shards_) {
-      try {
-        sh->device().synchronize();
-      } catch (...) { // NOLINT(bugprone-empty-catch)
-      }
-    }
+    // Every shard finished the faulting phase (for_each_shard joins its
+    // team before rethrowing), so the devices are quiescent and the
+    // aborted phase's records are complete for the incident dump.
     ++steps_since_rebuild_;
-    dump_flight(engine_name() + "::step host issue failure at step " +
+    dump_flight(engine_name() + "::step error at step " +
                 std::to_string(step_count_));
     throw;
   }
-
-  // --- join all devices; one shard's failure must not poison the rest ---
-  std::exception_ptr first_error;
-  for (auto& sh : shards_) {
-    try {
-      sh->device().synchronize();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
   ++steps_since_rebuild_;
-  if (first_error) {
-    dump_flight(engine_name() + "::step shard error at step " +
-                std::to_string(step_count_));
-    std::rethrow_exception(first_error);
-  }
 
   // --- harvest: the rebuild and walk ops feed the interval auto-tuner,
   // and the report's per-kernel seconds/ops are the step's records ------
@@ -844,7 +801,6 @@ void Simulation::refresh_forces() {
                        particles_.ax, particles_.ay, particles_.az,
                        particles_.pot, &ops);
   });
-  dev.synchronize();
   absorb_records(c);
 }
 

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -102,14 +101,12 @@ struct StepReport {
   }
 };
 
-/// Device shape of an engine that owns its shard devices. `shards` is K;
-/// the remaining knobs are forwarded to each shard's runtime::Device
-/// constructor (0 / -1 = that device's environment defaults,
-/// GOTHIC_THREADS / GOTHIC_ASYNC).
+/// Device shape of an engine that owns its shard devices. `shards` is K
+/// (1..runtime::Device::kMaxWorkers); `workers` is forwarded to each
+/// shard's runtime::Device constructor (0 = the GOTHIC_THREADS default).
 struct ShardOptions {
   int shards = 1;
   int workers = 0;
-  int async = -1;
 };
 
 /// Per-shard observability of the most recent step.
@@ -137,13 +134,19 @@ struct ShardStepStats {
 /// walk-group granularity, weighted by measured per-group walk cost) and
 /// a device with its own streams. Per step, every shard predicts its
 /// slice, summarises its tree nodes, walks its groups and corrects its
-/// slice. With K > 1 the step adds the cross-shard phases: a host join,
-/// the calcNode(top) pass over nodes straddling shard boundaries, and a
+/// slice. With K > 1 the step adds the cross-shard phases: the
+/// calcNode(top) pass over nodes straddling shard boundaries, and a
 /// local-essential-tree import into each shard's NaN-poisoned tree view.
 /// K = 1 walks the global tree directly and runs none of them, so it is
 /// the independent reference the K > 1 bit-identity oracle compares the
 /// LET machinery against: results are bit-identical for every K, worker
-/// count, scheduler mode and schedule seed.
+/// count and SIMD substrate.
+///
+/// Every launch runs synchronously. K > 1 runs its shard devices at once
+/// through a host team of K threads (the calling thread is member 0): in
+/// each per-shard phase — predict; calcNode; LET import + walk + correct
+/// — member s drives shard s's device. The rebuild, calcNode(top) and the
+/// group-activity pass run on the calling thread between phases.
 class Simulation {
 public:
   /// One shard on the ambient device: runtime::Device::current(), looked
@@ -255,11 +258,16 @@ private:
              bool own_devices);
   /// Name used in error and incident texts.
   [[nodiscard]] std::string engine_name() const;
-  /// The rebuild pair on shard 0: a read-only makeTree build (overlaps
-  /// the in-flight predicts) and the makeTree(permute) join, waited on by
-  /// the host. `e_pred` holds each shard's predict event, or is empty at
-  /// construction (no predict in flight).
-  void rebuild(std::span<const runtime::Event> e_pred);
+  /// Run `phase(shard)` for every shard: inline for K = 1, else on the
+  /// host team with member s driving shard s. Every shard finishes the
+  /// phase before the first error (if any) is rethrown.
+  template <typename Fn>
+  void for_each_shard(Fn&& phase);
+  /// The rebuild pair on shard 0: a read-only makeTree build and the
+  /// makeTree(permute) that reorders the state. `with_pred`: the step's
+  /// predicts ran, so the predicted positions are permuted too (false at
+  /// construction).
+  void rebuild(bool with_pred);
   void bootstrap_forces();
   /// Apply perm_ to a scratch array out-of-place via permute_buf_ (both
   /// retain capacity across rebuilds).
@@ -329,6 +337,9 @@ private:
   std::size_t top_count_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// K > 1 only: a K-worker device used solely for its host team
+  /// (for_each_shard); null for K = 1.
+  std::unique_ptr<runtime::Device> host_team_;
 
   // Aggregated observability over the shard sinks.
   KernelTimers timers_;

@@ -3,9 +3,11 @@
 #include "util/env.hpp"
 
 #include <algorithm>
-#include <new>
+#include <condition_variable>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #ifdef _OPENMP
@@ -15,17 +17,17 @@
 namespace gothic::runtime {
 
 namespace {
-/// Innermost ScopedDevice override (also installed on the leader thread,
-/// so Device::current() inside an async launch body resolves to the
-/// issuing device).
+/// Innermost ScopedDevice override (Device::launch installs its device for
+/// the body, so Device::current() inside a body resolves to the launching
+/// device).
 thread_local Device* tl_current = nullptr;
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Team: one fork/join group. Member 0 is the calling thread of run(); the
 // remaining members are dedicated threads parked on a condition variable.
-// A device owns one team over its whole pool, shared by the host thread
-// and the async leader.
+// A device owns one team over its whole pool, shared by every host thread
+// that runs collectives on the device.
 // ---------------------------------------------------------------------------
 
 class Device::Team {
@@ -54,11 +56,6 @@ public:
     return *members_[static_cast<std::size_t>(i)];
   }
 
-  /// Run `fn(ctx, worker)` once per member; the caller executes member 0.
-  /// All member exceptions land in one first-recorded-wins slot and exactly
-  /// that one is rethrown after every member finished, leaving the team
-  /// reusable. (The previous pool dropped a worker error whenever member 0
-  /// threw too, and left it set for the next collective.)
   /// Run the job on `w`, charging the elapsed wall time to the worker's
   /// busy counter (imbalance observability). The counter also ticks while
   /// a body waits on a fault-injected stall — busy means "occupied", which
@@ -76,10 +73,14 @@ public:
                         std::memory_order_relaxed);
   }
 
+  /// Run `fn(ctx, worker)` once per member; the caller executes member 0.
+  /// All member exceptions land in one first-recorded-wins slot and exactly
+  /// that one is rethrown after every member finished, leaving the team
+  /// reusable.
   void run(JobFn fn, void* ctx) {
-    // One job at a time: the host thread and the leader may both fork a
-    // collective, and the job slot, the generation count and member 0's
-    // worker (its arena) belong to one caller for the whole run.
+    // One job at a time: several host threads may fork a collective on one
+    // device, and the job slot, the generation count and member 0's worker
+    // (its arena) belong to one caller for the whole run.
     const std::lock_guard<std::mutex> turn(run_mutex_);
     if (threads_.empty()) {
       run_timed(fn, ctx, *members_.front());
@@ -151,23 +152,6 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Launch-queue node of the asynchronous engine.
-// ---------------------------------------------------------------------------
-
-/// One queued launch: the type-erased body lives inline in `storage` (no
-/// per-launch heap traffic); nodes are pooled and recycled through the
-/// device free list.
-struct Device::LaunchNode {
-  alignas(64) std::byte storage[kMaxBodyBytes];
-  BodyInvoke invoke = nullptr;
-  BodyDestroy destroy = nullptr;
-  std::uint64_t id = 0;
-  InstrumentationSink* sink = nullptr;
-  std::size_t record_index = 0;
-  LaunchNode* next = nullptr;
-};
-
-// ---------------------------------------------------------------------------
 // Device
 // ---------------------------------------------------------------------------
 
@@ -183,10 +167,7 @@ int Device::default_workers() {
 #endif
 }
 
-bool Device::default_async() { return env_size("GOTHIC_ASYNC", 1) != 0; }
-
-Device::Device(int workers, int async)
-    : async_(async < 0 ? default_async() : async != 0) {
+Device::Device(int workers) {
   const int n = std::min(workers > 0 ? workers : default_workers(),
                          kMaxWorkers);
   slots_.reserve(static_cast<std::size_t>(n));
@@ -197,21 +178,11 @@ Device::Device(int workers, int async)
     slots_.back()->id = i;
     members.push_back(slots_.back().get());
   }
-  // Worker 0 is whatever thread runs the collective: the host thread, or
-  // the leader inside an async launch body.
+  // Worker 0 is whatever host thread runs the collective.
   pool_ = std::make_unique<Team>(std::move(members));
 }
 
-Device::~Device() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    event_cv_.wait(lock, [&] { return inflight_ == 0; });
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  if (leader_.joinable()) leader_.join();
-  pool_.reset();
-}
+Device::~Device() = default;
 
 Device& Device::shared() {
   static Device device;
@@ -226,15 +197,19 @@ void Device::dispatch(JobFn fn, void* ctx) { pool_->run(fn, ctx); }
 
 // --- issue path ------------------------------------------------------------
 
-LaunchRecord Device::make_record_locked(const LaunchDesc& desc) {
-  LaunchRecord rec;
+Device::IssuedLaunch Device::issue_launch(const LaunchDesc& desc) {
+  IssuedLaunch issued;
+  LaunchRecord& rec = issued.record;
   rec.kernel = desc.kernel;
   rec.label =
       desc.label != nullptr ? desc.label : kernel_name(desc.kernel).data();
   rec.stream = desc.stream != nullptr ? desc.stream->name() : "default";
-  rec.id = next_launch_++;
   rec.items = desc.items;
+  rec.workers = workers();
+  issued.sink = desc.sink != nullptr ? desc.sink : &sink_;
 
+  std::lock_guard<std::mutex> lock(mutex_);
+  rec.id = next_launch_;
   std::size_t slot = 0;
   auto add_dep = [&](Event e, bool implicit) {
     if (!e.valid() || slot >= rec.deps.size()) return;
@@ -260,134 +235,31 @@ LaunchRecord Device::make_record_locked(const LaunchDesc& desc) {
   };
   for (Event e : desc.deps) add_dep(e, false);
   // Same-stream launches are implicitly ordered (CUDA stream semantics);
-  // the device executes in issue order, the edge documents the order.
+  // launches run in issue order, the edge documents the order.
   if (desc.stream != nullptr) add_dep(desc.stream->last(), true);
+  // Validation passed: the id is consumed and the launch is running.
+  ++next_launch_;
+  ++running_;
   if (desc.stream != nullptr) desc.stream->last_ = Event{rec.id, this};
-  return rec;
-}
-
-Device::IssuedLaunch Device::issue_launch(const LaunchDesc& desc) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const LaunchRecord rec = make_record_locked(desc);
-  IssuedLaunch issued;
-  issued.id = rec.id;
-  issued.sink = desc.sink != nullptr ? desc.sink : &sink_;
-  issued.record_index = issued.sink->begin_record(rec);
-  issued.workers = workers();
+  issued.controller = controller_;
   return issued;
 }
 
 void Device::finish_launch(const IssuedLaunch& issued, double t_begin,
                            double t_end, const simt::OpCounts& ops) {
+  LaunchRecord rec = issued.record;
+  rec.seconds = t_end - t_begin;
+  rec.t_begin = t_begin;
+  rec.t_end = t_end;
+  rec.ops = ops;
   std::lock_guard<std::mutex> lock(mutex_);
-  issued.sink->finish_record(issued.record_index, issued.id, t_begin, t_end,
-                             issued.workers, ops);
-  completed_floor_ = issued.id;
-  event_cv_.notify_all();
-}
-
-Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
-                           BodyCopy copy, BodyDestroy destroy,
-                           const void* body) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!leader_.joinable()) start_leader_locked();
-    const LaunchRecord rec = make_record_locked(desc); // may throw: no node yet
-    LaunchNode* node = free_nodes_;
-    if (node != nullptr) {
-      free_nodes_ = node->next;
-    } else {
-      nodes_.push_back(std::make_unique<LaunchNode>());
-      node = nodes_.back().get();
-    }
-    node->id = rec.id;
-    node->sink = desc.sink != nullptr ? desc.sink : &sink_;
-    node->record_index = node->sink->begin_record(rec);
-    node->invoke = invoke;
-    node->destroy = destroy;
-    copy(node->storage, body);
-    node->next = nullptr;
-    if (tail_ != nullptr) {
-      tail_->next = node;
-    } else {
-      head_ = node;
-    }
-    tail_ = node;
-    ++inflight_;
-    id = rec.id;
-  }
-  queue_cv_.notify_one();
-  return Event{id, this};
-}
-
-// --- asynchronous engine ---------------------------------------------------
-
-void Device::start_leader_locked() {
-  // Deferred to the first launch so constructing a device that never
-  // launches (a session pool's idle device, a bench's setup) spawns no
-  // leader and allocates no nodes.
-  nodes_.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    nodes_.push_back(std::make_unique<LaunchNode>());
-    nodes_.back()->next = free_nodes_;
-    free_nodes_ = nodes_.back().get();
-  }
-  leader_ = std::thread([this] { leader_loop(); });
-}
-
-void Device::leader_loop() {
-  // Launch bodies run on this thread; Device::current() must resolve to
-  // the issuing device.
-  tl_current = this;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return stopping_ || head_ != nullptr; });
-    if (head_ == nullptr) return; // stopping, queue drained
-    // Every dependency has a smaller issue id and the queue runs strictly
-    // in issue order, so the head's dependencies are already complete.
-    LaunchNode* node = head_;
-    head_ = node->next;
-    if (head_ == nullptr) tail_ = nullptr;
-    lock.unlock();
-    run_node(*node);
-    lock.lock();
-  }
-}
-
-void Device::run_node(LaunchNode& node) {
-  simt::OpCounts ops;
-  std::exception_ptr err;
-  const double t0 = now();
-  try {
-    // controller_ cannot change while this node is in flight
-    // (set_schedule_controller requires an idle device).
-    fault_point(node.id);
-    node.invoke(node.storage, ops);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  const double t1 = now();
-  node.destroy(node.storage);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    node.sink->finish_record(node.record_index, node.id, t0, t1, workers(),
-                             ops);
-    // Move (don't copy) so the leader drops its reference here: the thread
-    // that later rethrows the error must be the only one releasing the
-    // exception object, or its teardown races with the consumer's what().
-    if (err && !async_error_) async_error_ = std::move(err);
-    completed_floor_ = node.id;
-    node.next = free_nodes_;
-    free_nodes_ = &node;
-    --inflight_;
-  }
-  event_cv_.notify_all();
+  issued.sink->add(rec);
+  --running_;
 }
 
 void Device::set_schedule_controller(ScheduleController* c) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (inflight_ != 0) {
+  if (running_ != 0) {
     throw std::logic_error(
         "Device::set_schedule_controller: device has launches in flight");
   }
@@ -397,28 +269,6 @@ void Device::set_schedule_controller(ScheduleController* c) {
 ScheduleController* Device::schedule_controller() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return controller_;
-}
-
-// --- waits -----------------------------------------------------------------
-
-void Device::wait_event(std::uint64_t id) {
-  if (id == 0) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  event_cv_.wait(lock, [&] { return id <= completed_floor_; });
-}
-
-void Device::synchronize() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  event_cv_.wait(lock, [&] { return inflight_ == 0; });
-  if (async_error_) {
-    std::exception_ptr err = std::exchange(async_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void Event::wait() const {
-  if (device != nullptr && id != 0) device->wait_event(id);
 }
 
 // --- introspection ---------------------------------------------------------

@@ -9,26 +9,24 @@
 //    size is GOTHIC_THREADS-overridable, with one cache-line-padded Worker
 //    per thread carrying a scratch Arena that retains its high-water
 //    capacity across launches;
-//  * Stream/Event scheduling: an asynchronous device is one FIFO lane. A
-//    leader thread pops the device's launch queue in issue order and forks
-//    each launch's collectives onto the whole worker pool — a lone kernel
-//    owns every worker, as it owns every SM on the GPU. Streams and events
-//    stay ordering handles (every dependency has a smaller issue id, so
-//    issue order satisfies them all) and are recorded per launch;
-//    Event::wait() and synchronize() are real completion handles. Overlap
-//    comes from separate devices (shards, pool drivers), not from streams
-//    of one device. GOTHIC_ASYNC=0 selects the synchronous escape hatch:
-//    launches run to completion on the calling thread plus the pool,
-//    bit-identically;
+//  * Stream/Event bookkeeping: every launch runs to completion on the
+//    issuing thread plus the whole worker pool — a lone kernel owns every
+//    worker, as it owns every SM on the GPU — so launches of one device
+//    run in issue order, which satisfies every dependency. Streams and
+//    events are the recorded dependency DAG: events are validated at
+//    issue and recorded per launch (the trace's flow arrows). Overlap
+//    comes from separate devices driven by separate host threads (the
+//    shards' host team in nbody::Simulation, the session pool's drivers),
+//    not from streams of one device;
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
 //    begin/end timestamps, so the sink can report achieved overlap) into
 //    an InstrumentationSink.
 //
 // Kernels obtain the device with Device::current(): the thread-local
 // override installed by ScopedDevice (tests pin worker counts this way) or
-// else the process-wide shared() device. Inside an asynchronous launch
-// body, current() resolves to the issuing device, so kernels are oblivious
-// to which scheduler drives them.
+// else the process-wide shared() device. A launch body runs with its
+// device installed as current(), so kernels always resolve the device
+// that launched them, whichever thread issued the launch.
 #pragma once
 
 #include "runtime/arena.hpp"
@@ -38,13 +36,10 @@
 #include "util/timer.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -67,13 +62,28 @@ struct alignas(64) Worker {
   }
 };
 
+class Device;
+
+/// RAII device override for the calling thread: kernels reached from this
+/// scope run on `device` instead of Device::shared(). Used by tests to
+/// compare 1-worker and N-worker execution of the same kernel, and by
+/// Device::launch() to run its body on the launching device.
+class ScopedDevice {
+public:
+  explicit ScopedDevice(Device& device);
+  ~ScopedDevice();
+  ScopedDevice(const ScopedDevice&) = delete;
+  ScopedDevice& operator=(const ScopedDevice&) = delete;
+
+private:
+  Device* previous_;
+};
+
 class Device {
 public:
   /// `workers` <= 0 selects the default: GOTHIC_THREADS when set, else the
-  /// OpenMP thread count / hardware concurrency. `async` < 0 selects the
-  /// GOTHIC_ASYNC default (asynchronous unless GOTHIC_ASYNC=0); 0 forces
-  /// the synchronous path, > 0 forces asynchronous scheduling.
-  explicit Device(int workers = 0, int async = -1);
+  /// OpenMP thread count / hardware concurrency.
+  explicit Device(int workers = 0);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -81,7 +91,7 @@ public:
   /// The process-wide device (created on first use).
   static Device& shared();
   /// The device kernels should run on: the innermost ScopedDevice override
-  /// on this thread, the owning device inside an async launch body, or
+  /// on this thread (inside a launch body, the launching device), or
   /// shared().
   static Device& current();
 
@@ -89,8 +99,7 @@ public:
   [[nodiscard]] int workers() const { return static_cast<int>(slots_.size()); }
 
   /// The `i`-th pool worker. Serial access only — never while a collective
-  /// is in flight, nor from the host while launches of an async device are
-  /// in flight (its leader forks onto the same workers and arenas).
+  /// is in flight.
   [[nodiscard]] Worker& context_worker(int i) {
     return *slots_[static_cast<std::size_t>(i)];
   }
@@ -98,19 +107,17 @@ public:
   /// The worker-count default the constructor would resolve for
   /// `workers <= 0` (GOTHIC_THREADS-aware); exposed for bench metadata.
   static int default_workers();
-  /// The scheduling default the constructor resolves for `async < 0`:
-  /// true unless GOTHIC_ASYNC=0.
-  static bool default_async();
-  /// True when this device schedules launches asynchronously.
-  [[nodiscard]] bool async() const { return async_; }
+  /// Always false: every launch runs synchronously. Kept only because the
+  /// benchmark harness prints it; drop it with that reference.
+  static bool default_async() { return false; }
 
   // --- collectives --------------------------------------------------------
   // All collectives run on the calling thread (worker 0) plus the pool's
   // remaining workers and return only when every worker finished.
-  // Collectives from different threads (the host and the async leader)
-  // take turns on the one pool. Exceptions thrown by bodies are recorded
-  // first-wins and exactly one is rethrown on the caller; the pool stays
-  // reusable. Bodies must not re-enter the device.
+  // Collectives from different host threads take turns on the one pool.
+  // Exceptions thrown by bodies are recorded first-wins and exactly one is
+  // rethrown on the caller; the pool stays reusable. Bodies must not
+  // re-enter the device.
 
   /// Invoke `fn(Worker&)` once per pool worker.
   template <typename Fn>
@@ -194,72 +201,34 @@ public:
 
   // --- launch layer -------------------------------------------------------
 
-  /// Upper bound on the captured state of a launch body (the body is
-  /// copied into a fixed slot of the launch queue — capture `this` or a
-  /// few references, not arrays).
-  static constexpr std::size_t kMaxBodyBytes = 256;
-
-  /// Launch one kernel: `fn(ops)` runs once, accumulating the kernel's
-  /// operation tallies, and one LaunchRecord is emitted with the measured
-  /// wall time and begin/end timestamps. Returns the launch's completion
-  /// event.
+  /// Launch one kernel: `fn(ops)` runs once, to completion, on the calling
+  /// thread plus the full pool, with this device installed as current();
+  /// it accumulates the kernel's operation tallies, and one LaunchRecord
+  /// is emitted with the measured wall time and begin/end timestamps.
+  /// Returns the launch's event — already complete, a node of the
+  /// recorded dependency DAG.
   ///
-  /// Asynchronous devices enqueue the body onto the device's FIFO queue
-  /// and return immediately; the leader runs queued bodies one at a time
-  /// in issue order, which satisfies every dependency event. The caller
-  /// must keep everything the body references alive until the event
-  /// completes, and a body must not issue launches of its own. Body
-  /// exceptions are held and rethrown (first one wins) by the next
-  /// synchronize().
-  ///
-  /// Launches complete in issue order on both paths (completion tracking
-  /// is one "all ids <= floor are done" counter), so a synchronous device
-  /// takes launches from one issuing thread at a time.
-  ///
-  /// Synchronous devices (GOTHIC_ASYNC=0) run the body to completion on
-  /// the calling thread plus the full pool before returning; body
-  /// exceptions propagate directly, after the record is emitted and the
-  /// event signaled so the device stays consistent.
+  /// A body exception propagates out of launch() itself, after the record
+  /// is completed, so the device stays consistent and reusable. A body
+  /// must not issue launches of its own.
   template <typename Fn>
   Event launch(const LaunchDesc& desc, Fn&& fn) {
-    using F = std::decay_t<Fn>;
-    static_assert(sizeof(F) <= kMaxBodyBytes && alignof(F) <= 64,
-                  "launch body captures too much state; capture `this` or "
-                  "a few references");
-    if (async_) {
-      return launch_async(
-          desc,
-          +[](void* body, simt::OpCounts& ops) {
-            (*static_cast<F*>(body))(ops);
-          },
-          +[](void* dst, const void* src) {
-            ::new (dst) F(*static_cast<const F*>(src));
-          },
-          +[](void* body) { static_cast<F*>(body)->~F(); },
-          std::addressof(fn));
-    }
     const IssuedLaunch issued = issue_launch(desc);
+    const ScopedDevice scope(*this);
     simt::OpCounts ops;
     const double t0 = now();
     try {
-      fault_point(issued.id);
+      if (issued.controller != nullptr) {
+        issued.controller->before_body(issued.record.id);
+      }
       fn(ops);
     } catch (...) {
       finish_launch(issued, t0, now(), ops);
       throw;
     }
     finish_launch(issued, t0, now(), ops);
-    return Event{issued.id, this};
+    return Event{issued.record.id, this};
   }
-
-  /// Block until the launch with the given id completed (its body
-  /// returned or threw). Immediate for already-complete ids.
-  void wait_event(std::uint64_t id);
-
-  /// Block until every issued launch completed, then rethrow the first
-  /// exception an asynchronous launch body raised since the previous
-  /// synchronize() (clearing it, so the device stays usable).
-  void synchronize();
 
   /// Default destination of LaunchRecords when LaunchDesc::sink is null.
   [[nodiscard]] InstrumentationSink& sink() { return sink_; }
@@ -267,15 +236,15 @@ public:
   // --- fault-injection seam (testkit) -------------------------------------
 
   /// Install (or remove, with nullptr) a schedule controller. Only while
-  /// the device is idle (no launches in flight) — throws std::logic_error
-  /// otherwise. The controller must outlive its installation. See
-  /// runtime/schedule.hpp.
+  /// the device is idle (no launch body running on any thread) — throws
+  /// std::logic_error otherwise. The controller must outlive its
+  /// installation. See runtime/schedule.hpp.
   void set_schedule_controller(ScheduleController* c);
   [[nodiscard]] ScheduleController* schedule_controller() const;
 
-  /// Stream lanes of this device: 1 for an asynchronous device (its one
-  /// FIFO queue), 0 for a synchronous one.
-  [[nodiscard]] int lane_count() const { return async_ ? 1 : 0; }
+  /// Always 0: a device has no launch queue. Kept only because the
+  /// benchmark harness prints it; drop it with that reference.
+  [[nodiscard]] int lane_count() const { return 0; }
 
   // --- introspection (runtime tests) --------------------------------------
 
@@ -300,86 +269,40 @@ public:
 
 private:
   using JobFn = void (*)(void*, Worker&);
-  using BodyInvoke = void (*)(void*, simt::OpCounts&);
-  using BodyCopy = void (*)(void*, const void*);
-  using BodyDestroy = void (*)(void*);
 
   class Team;
-  struct LaunchNode;
 
   /// Issue-time half of a launch: id assigned, deps validated and
-  /// recorded, placeholder record inserted into the sink.
+  /// recorded, controller captured.
   struct IssuedLaunch {
-    std::uint64_t id = 0;
-    std::size_t record_index = 0;
+    LaunchRecord record;
     InstrumentationSink* sink = nullptr;
-    int workers = 0;
+    ScheduleController* controller = nullptr;
   };
 
   void dispatch(JobFn fn, void* ctx);
   [[nodiscard]] double now() const { return epoch_.seconds(); }
-  /// Fault hook of both launch paths: forwards to the controller's
-  /// before_body(). One pointer test when none is installed.
-  void fault_point(std::uint64_t id) {
-    if (controller_ != nullptr) controller_->before_body(id);
-  }
 
   IssuedLaunch issue_launch(const LaunchDesc& desc);
-  LaunchRecord make_record_locked(const LaunchDesc& desc);
   void finish_launch(const IssuedLaunch& issued, double t_begin, double t_end,
                      const simt::OpCounts& ops);
-  Event launch_async(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
-                     BodyDestroy destroy, const void* body);
-
-  void start_leader_locked();
-  void leader_loop();
-  void run_node(LaunchNode& node);
 
   std::vector<std::unique_ptr<Worker>> slots_;
   std::unique_ptr<Team> pool_;   ///< the one fork/join team of the device
-  const bool async_;
   Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
-  // Launch bookkeeping (ids, completion, queue, sinks) — one lock; the
+  // Launch bookkeeping (ids, sinks, controller) — one lock; the
   // per-collective fork/join hot path uses the team's own locks.
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  ///< leader: work available / stop
-  std::condition_variable event_cv_;  ///< completions: event waits, sync
-  bool stopping_ = false;
   std::uint64_t next_launch_ = 1;
-  std::uint64_t completed_floor_ = 0; ///< ids <= floor are complete
-  int inflight_ = 0;
-  std::exception_ptr async_error_;
-
-  // The FIFO launch queue the leader pops, and the pooled nodes it holds.
-  LaunchNode* head_ = nullptr;
-  LaunchNode* tail_ = nullptr;
-  std::vector<std::unique_ptr<LaunchNode>> nodes_;
-  LaunchNode* free_nodes_ = nullptr;
-
-  // Fault-injection seam (runtime/schedule.hpp). Set only while the device
-  // is idle, so the leader may read it unlocked while a launch is in
-  // flight.
+  /// Launches between issue and finish — bodies running on some thread.
+  /// set_schedule_controller() requires 0.
+  int running_ = 0;
+  /// Fault-injection seam (runtime/schedule.hpp); captured per launch at
+  /// issue.
   ScheduleController* controller_ = nullptr;
 
   InstrumentationSink sink_;
-  /// Async devices only, started by the first launch; declared last,
-  /// joined first.
-  std::thread leader_;
-};
-
-/// RAII device override for the calling thread: kernels reached from this
-/// scope run on `device` instead of Device::shared(). Used by tests to
-/// compare 1-worker and N-worker execution of the same kernel.
-class ScopedDevice {
-public:
-  explicit ScopedDevice(Device& device);
-  ~ScopedDevice();
-  ScopedDevice(const ScopedDevice&) = delete;
-  ScopedDevice& operator=(const ScopedDevice&) = delete;
-
-private:
-  Device* previous_;
 };
 
 } // namespace gothic::runtime

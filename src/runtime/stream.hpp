@@ -1,23 +1,21 @@
 // Streams, events, launch descriptors and the instrumentation sink of the
 // kernel-launch runtime.
 //
-// GOTHIC issues its device kernels on concurrent CUDA streams and orders
-// them with events; the per-kernel times the paper reports (Figs 3-5) are
-// nvprof measurements of exactly those overlapped launches. This layer
+// GOTHIC issues its device kernels on CUDA streams ordered by events; the
+// per-kernel times the paper reports (Figs 3-5) are nvprof measurements of
+// each kernel in the order the host loop issues them. This layer
 // reproduces the shape: every kernel goes through Device::launch() with a
 // LaunchDesc naming its stream and dependency events, and every launch
 // emits one LaunchRecord (kernel id, wall seconds, begin/end timestamps,
 // nvprof-style OpCounts, bytes, launch configuration, dependency edges)
 // into an InstrumentationSink.
 //
-// Execution is asynchronous by default: launch() enqueues the kernel onto
-// the device's one FIFO queue and returns immediately; Event::wait() and
-// Device::synchronize() are real completion handles. Streams and events
-// order launches and are recorded per launch; within one device launches
-// run in issue order on the whole worker pool. GOTHIC_ASYNC=0 selects the
-// synchronous path (run-to-completion on the calling thread plus the
-// pool) for A/B comparison and debugging — results are bit-identical
-// either way.
+// Every launch runs to completion before launch() returns, on the issuing
+// thread plus the device's worker pool, so launches of one device run in
+// issue order and every event is complete once it exists. Streams and
+// events are the recorded DAG: dependencies are validated at issue and
+// recorded per launch, and the trace draws them as flow arrows. Launches
+// overlap only across devices driven by different host threads.
 #pragma once
 
 #include "simt/op_counter.hpp"
@@ -35,23 +33,20 @@ namespace gothic::runtime {
 
 class Device;
 
-/// Completion handle of a launch. Id 0 is the null event (never waited
-/// on); valid ids are assigned by the device in issue order.
+/// Dependency handle of a launch — a node of the recorded DAG. Id 0 is the
+/// null event (no dependency); valid ids are assigned by the device in
+/// issue order.
 struct Event {
   std::uint64_t id = 0;
-  /// Device that issued the launch (resolves waits; null for the null
-  /// event).
+  /// Device that issued the launch (rejects cross-device dependencies;
+  /// null for the null event).
   Device* device = nullptr;
   [[nodiscard]] bool valid() const { return id != 0; }
-  /// Block until the launch completed. No-op for the null event and under
-  /// synchronous execution (the launch already ran to completion).
-  void wait() const;
 };
 
-/// An in-order launch queue. Launches on the same stream are implicitly
+/// An ordered launch sequence. Launches on the same stream are implicitly
 /// ordered (the device records the stream's previous launch as a
-/// dependency and executes the stream FIFO); cross-stream ordering takes
-/// explicit events.
+/// dependency); cross-stream ordering takes explicit events.
 class Stream {
 public:
   Stream() = default;
@@ -87,9 +82,8 @@ struct LaunchDesc {
 
 /// One record per launch — the runtime's unified replacement for the
 /// hand-threaded KernelTimers + per-kernel OpCounts bookkeeping, and the
-/// stand-in for one row of an nvprof kernel trace. Records are inserted
-/// into the sink in issue order and completed in execution order; the
-/// timing fields are valid once the launch's event has completed.
+/// stand-in for one row of an nvprof kernel trace. A record is added to
+/// its sink, complete, when the launch body returned or threw.
 struct LaunchRecord {
   Kernel kernel = Kernel::WalkTree;
   /// Label / stream name. In records stored by an InstrumentationSink both
@@ -153,9 +147,9 @@ struct StepMark {
 };
 
 /// Observer of the instrumentation stream — the hook the trace/metrics
-/// layer attaches to. A sink invokes on_record() for every launch whose
-/// timing completed, under the issuing device's launch lock: keep it
-/// short, never call back into the device. Simulation::step() instead
+/// layer attaches to. A sink invokes on_record() for every completed
+/// launch, under the issuing device's launch lock: keep it short, never
+/// call back into the device. Simulation::step() instead
 /// forwards its step's records serially once the step joined, then
 /// invokes on_step(). A null listener costs one pointer test per launch,
 /// so instrumentation consumers add zero overhead when detached.
@@ -171,57 +165,27 @@ public:
 /// clears it once per step (Simulation::step does), so steady-state
 /// recording performs no heap allocation.
 ///
-/// Not internally synchronized: the issuing Device serializes begin/finish
-/// under its own lock, and readers must not overlap in-flight launches
-/// (wait on the event or Device::synchronize() first). In particular, do
-/// not begin_step()/reset() while launches that target this sink are in
-/// flight.
+/// Not internally synchronized: the issuing Device serializes add() under
+/// its own lock, and readers must not overlap launches that target this
+/// sink from another thread. In particular, do not begin_step()/reset()
+/// while such a launch runs.
 class InstrumentationSink {
 public:
   InstrumentationSink() { records_.reserve(kReserve); }
 
-  /// Insert the issue-time half of a record (id, deps, stream, items);
-  /// returns the record's index for finish_record(). Keeps records in
-  /// issue order even when completion is out of order. The label and
-  /// stream names are interned into a sink-owned string table, so the
-  /// record stays readable after the Stream object (or a transient label
-  /// buffer) is gone — a trace flushed at shutdown must not chase freed
-  /// name pointers.
-  std::size_t begin_record(const LaunchRecord& r) {
+  /// Append a completed record, fold it into the cumulative aggregates and
+  /// notify the listener. The label and stream names are interned into a
+  /// sink-owned string table, so the record stays readable after the
+  /// Stream object (or a transient label buffer) is gone — a trace flushed
+  /// at shutdown must not chase freed name pointers.
+  void add(const LaunchRecord& r) {
     records_.push_back(r);
     LaunchRecord& rec = records_.back();
     rec.label = intern(rec.label);
     rec.stream = intern(rec.stream);
-    return records_.size() - 1;
-  }
-
-  /// Complete the record at `index` with the measured timing and counts
-  /// and fold them into the cumulative aggregates. Returns false (and
-  /// skips the per-record fields) when the sink was cleared between issue
-  /// and completion — the aggregates are still updated so KernelTimers
-  /// stays truthful.
-  bool finish_record(std::size_t index, std::uint64_t id, double t_begin,
-                     double t_end, int workers, const simt::OpCounts& ops) {
-    const Kernel k = index < records_.size() && records_[index].id == id
-                         ? records_[index].kernel
-                         : Kernel::Count;
-    if (k == Kernel::Count) return false;
-    LaunchRecord& rec = records_[index];
-    rec.seconds = t_end - t_begin;
-    rec.t_begin = t_begin;
-    rec.t_end = t_end;
-    rec.workers = workers;
-    rec.ops = ops;
     timers_.add(rec.kernel, rec.seconds);
-    ops_[static_cast<std::size_t>(rec.kernel)] += ops;
+    ops_[static_cast<std::size_t>(rec.kernel)] += rec.ops;
     if (listener_ != nullptr) listener_->on_record(rec);
-    return true;
-  }
-
-  /// One-shot insert of an already-complete record (synchronous callers).
-  void add(const LaunchRecord& r) {
-    const std::size_t i = begin_record(r);
-    (void)finish_record(i, r.id, r.t_begin, r.t_end, r.workers, r.ops);
   }
 
   /// Drop the per-launch records (cumulative aggregates are kept). Called
@@ -253,10 +217,10 @@ public:
   }
 
   /// Span from the first body start to the last body end of the step —
-  /// the step's launch wall time. With concurrent streams this is less
-  /// than step_kernel_seconds(); the difference is the achieved overlap
-  /// that separates sum-of-kernel-times from step elapsed time in the
-  /// Fig 3/4 breakdowns. Valid once the step's launches completed.
+  /// the step's launch wall time. When launches overlap this is less than
+  /// step_kernel_seconds(); the difference is the achieved overlap that
+  /// separates sum-of-kernel-times from step elapsed time in the Fig 3/4
+  /// breakdowns.
   [[nodiscard]] double step_wall_seconds() const {
     if (records_.empty()) return 0.0;
     double lo = records_.front().t_begin;
@@ -282,9 +246,9 @@ public:
   }
 
   /// Attach (or detach, with nullptr) the observer notified on every
-  /// completed record. Set only while no launch targeting this sink is in
-  /// flight (same discipline as begin_step()/reset()). The listener must
-  /// outlive every launch issued while it is attached.
+  /// completed record. Set only while no launch targeting this sink runs
+  /// (same discipline as begin_step()/reset()). The listener must outlive
+  /// every launch issued while it is attached.
   void set_listener(RecordListener* l) { listener_ = l; }
   [[nodiscard]] RecordListener* listener() const { return listener_; }
 

@@ -3,7 +3,7 @@
 //
 // One run builds a SessionManager (pool shape from the seed), submits a
 // mixed batch of scenario-registry sessions, injects one fault family —
-// launch-body throws / leader stalls via testkit::FaultController on the
+// launch-body throws / launch stalls via testkit::FaultController on the
 // pool devices, or process-wide arena OOM via testkit::ArenaFaultGuard —
 // and asserts the isolation contract after wait_all():
 //

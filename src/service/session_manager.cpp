@@ -74,8 +74,7 @@ SessionManager::SessionManager(PoolOptions opt) : opt_(opt) {
   opt_.devices = std::max(1, opt_.devices);
   devices_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
-    devices_.push_back(
-        std::make_unique<runtime::Device>(opt_.workers, opt_.async));
+    devices_.push_back(std::make_unique<runtime::Device>(opt_.workers));
   }
   drivers_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
@@ -96,7 +95,10 @@ std::uint64_t SessionManager::submit(SessionConfig cfg) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto s = std::make_unique<Session>();
   s->id = sessions_.size();
-  if (cfg.name.empty()) cfg.name = "s" + std::to_string(s->id);
+  if (cfg.name.empty()) {
+    cfg.name = 's';
+    cfg.name += std::to_string(s->id);
+  }
   // A new session starts at the runnable minimum virtual time: it neither
   // jumps ahead of sessions that already paid for their progress nor gets
   // the whole pool to itself to catch up from zero.
@@ -245,7 +247,7 @@ void SessionManager::driver(int device_index) {
   // Route every session quantum this driver runs — Simulation construction
   // and steps resolve Device::current() fresh each time — onto the pool
   // device. Sessions may migrate between drivers; bit-identity across
-  // worker counts / async modes / schedules makes that invisible.
+  // worker counts makes that invisible.
   runtime::ScopedDevice scope(dev);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -331,7 +333,6 @@ void SessionManager::construct(Session& s) {
     nbody::ShardOptions so;
     so.shards = s.cfg.shards;
     so.workers = opt_.workers;
-    so.async = opt_.async;
     s.engine = std::make_unique<nbody::Simulation>(std::move(p),
                                                    std::move(cfg), so);
   } else {
@@ -407,14 +408,6 @@ SessionManager::Outcome SessionManager::advance(Session& s,
     out.seconds = sw.seconds();
     out.next = SessionState::Failed;
     out.error = "unknown error";
-  }
-  if (out.next == SessionState::Failed) {
-    // Drain stragglers of the failed quantum so the device hands the next
-    // session a clean engine (PR 4: first-wins error, reusable after).
-    try {
-      dev.synchronize();
-    } catch (...) { // NOLINT(bugprone-empty-catch)
-    }
   }
   if (terminal(out.next)) finish_observability(s);
   return out;

@@ -8,8 +8,8 @@
 // driver claims it exclusively, installs a ScopedDevice and advances it
 // by exactly one quantum (construction, or one step()). Sessions are not
 // pinned: the runtime's bit-identity contract (results independent of
-// worker count, async mode and schedule — PR 1/2) makes device migration
-// invisible, so any driver may pick up any runnable session.
+// worker count and SIMD substrate) makes device migration invisible, so
+// any driver may pick up any runnable session.
 //
 // Scheduling is weighted round-robin over *measured* step cost: every
 // quantum's wall seconds accumulate into the session's virtual time, and
@@ -21,14 +21,15 @@
 //   wait_max <= starvation_bound_max + submitted sessions
 // holds as a hard invariant (asserted in tests/test_service.cpp).
 //
-// Isolation extends the PR 4 fault contract from launches to sessions: a
-// session whose quantum throws (launch-body fault, arena OOM, bootstrap
-// failure) is marked Failed with the error text, its device is drained
-// and stays reusable, and every sibling keeps stepping — each survivor's
-// final state is bit-identical to a solo run of the same scenario+seed
-// (the service fuzz leg and the stress test assert this under
-// FaultController / ArenaFaultGuard). Stalls only slow the stalled
-// session down; the per-device drivers keep the rest of the pool moving.
+// Isolation extends the launch fault contract to sessions: a session
+// whose quantum throws (launch-body fault, arena OOM, bootstrap failure)
+// is marked Failed with the error text, its device stays reusable (a
+// faulting launch leaves it consistent), and every sibling keeps
+// stepping — each survivor's final state is bit-identical to a solo run
+// of the same scenario+seed (the service fuzz leg and the stress test
+// assert this under FaultController / ArenaFaultGuard). Stalls only slow
+// the stalled session down; the per-device drivers keep the rest of the
+// pool moving.
 //
 // Quota: each session carries an optional arena quota. A quantum charges
 // the session the arena-capacity *growth* it forced on its device(s);
@@ -56,12 +57,11 @@
 namespace gothic::service {
 
 /// Shape of the shared device pool. `devices` is the driver/device count;
-/// the remaining knobs forward to each runtime::Device constructor
-/// (0 / -1 = that device's environment defaults).
+/// `workers` forwards to each runtime::Device constructor (0 = the
+/// GOTHIC_THREADS default).
 struct PoolOptions {
   int devices = 1;
   int workers = 0;
-  int async = -1;
 };
 
 enum class SessionState { Pending, Running, Completed, Failed };

@@ -1,20 +1,21 @@
-// Fault injection for the async launch engine.
+// Fault injection for the launch engine.
 //
 // A FaultPlan names launches (by issue id) at which to inject a body
-// exception or a bounded worker stall; FaultController delivers them
-// through the runtime::ScheduleController::before_body() hook while the
-// engine runs free, so a stalled leader holds back every later launch of
-// its device and the host's event waits, and TSan sees genuine
-// concurrency.
+// exception or a bounded stall; FaultController delivers them through the
+// runtime::ScheduleController::before_body() hook on the issuing thread,
+// so a stall holds back that thread (and, in a sharded step, the phase
+// its siblings join at) while the other host threads run on, and TSan
+// sees genuine concurrency.
 //
 // Arena exhaustion is driven separately through the Arena grow hook:
 // ArenaFaultGuard fails the k-th chunk acquisition (process-wide, counted
 // across all arenas) for the duration of its scope, turning the chosen
 // grow into std::bad_alloc on whatever thread performs it.
 //
-// The error contracts under test: every injected fault propagates exactly
-// once (first-wins) out of the next synchronize()/step(), and the Device
-// stays fully usable afterwards.
+// The error contracts under test: every injected throw propagates exactly
+// once, out of the launch() it hit (and so out of the step() that issued
+// it), that launch's record is complete, and the Device stays fully usable
+// afterwards.
 #pragma once
 
 #include "runtime/arena.hpp"

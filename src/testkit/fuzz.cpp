@@ -7,7 +7,6 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -60,15 +59,15 @@ std::vector<real> pack_state(const nbody::Particles& p) {
   return out;
 }
 
-std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
+std::vector<real> run_controlled(const FuzzConfig& cfg,
                                  runtime::ScheduleController* controller) {
-  runtime::Device dev(cfg.workers, async ? 1 : 0);
+  runtime::Device dev(cfg.workers);
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                         fuzz_sim_config(cfg.rebuild_interval));
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-  // step() ends with a synchronize, so the device is idle here and the
+  // Every launch has returned, so the device is idle here and the
   // controller can be detached before it goes out of the caller's scope.
   if (controller != nullptr) dev.set_schedule_controller(nullptr);
   return pack_state(sim.particles());
@@ -76,16 +75,16 @@ std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
 
 namespace {
 
-std::string leg_name(bool simd, bool async, int shards) {
-  return std::string(simd ? "simd" : "scalar") + (async ? " async" : " sync") +
-         " K=" + std::to_string(shards);
+std::string leg_name(bool simd, int shards) {
+  return std::string(simd ? "simd" : "scalar") + " K=" +
+         std::to_string(shards);
 }
 
 void append_divergence(SweepReport& rep, std::uint64_t seed,
                        const std::string& leg) {
   rep.failing_seeds.push_back(seed);
   rep.failures.push_back("seed " + hex_seed(seed) + " (" + leg +
-                         "): state diverged from the synchronous reference");
+                         "): state diverged from the reference");
 }
 
 } // namespace
@@ -99,8 +98,8 @@ RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
   const bool simd_on = ((seed >> 4) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
   RunOutcome out;
-  out.leg = leg_name(simd_on, true, 1);
-  out.state = run_controlled(cfg, true, nullptr);
+  out.leg = leg_name(simd_on, 1);
+  out.state = run_controlled(cfg, nullptr);
   out.bit_identical = out.state == reference;
   return out;
 }
@@ -108,7 +107,7 @@ RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count) {
   SweepReport rep;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const std::vector<real> ref = run_controlled(cfg, nullptr);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
     const RunOutcome out = replay_seed(cfg, seed, ref);
@@ -132,13 +131,13 @@ std::size_t count_in_dag(const std::vector<std::uint64_t>& ids) {
 FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   FaultOutcome out;
   FaultController ctrl(plan);
-  runtime::Device dev(cfg.workers, 1);
+  runtime::Device dev(cfg.workers);
   dev.set_schedule_controller(&ctrl);
 
   // GOTHIC_FLIGHT turns every fault-plan failure into a self-describing
   // incident report: the recorder rides the device's default sink and is
-  // dumped the moment an injected fault propagates, so the dump holds the
-  // faulted launch with its stream and dependency edges.
+  // dumped the moment the first injected fault propagates, so the dump
+  // holds the faulted launch with its stream and dependency edges.
   std::unique_ptr<trace::FlightRecorder> flight;
   if (trace::FlightRecorder::env_enabled()) {
     flight = std::make_unique<trace::FlightRecorder>();
@@ -147,17 +146,39 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
 
   runtime::Stream a("fault-a");
   runtime::Stream b("fault-b");
-  std::atomic<int> ran{0};
-  auto body = [&ran](simt::OpCounts&) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  };
+  int ran = 0;
+  std::vector<std::uint64_t> surfaced; // ids of the InjectedFaults caught
+  bool foreign_error = false;
+  bool records_complete = true;
   auto issue = [&](const char* label, runtime::Stream* s, runtime::Event dep) {
     runtime::LaunchDesc desc;
     desc.label = label;
     desc.items = 1;
     desc.stream = s;
     desc.deps = {dep, runtime::Event{}, runtime::Event{}, runtime::Event{}};
-    return dev.launch(desc, body);
+    try {
+      return dev.launch(desc, [&ran](simt::OpCounts&) { ++ran; });
+    } catch (const InjectedFault& f) {
+      surfaced.push_back(f.launch_id());
+      // The faulting launch's record is already in the sink, complete.
+      const runtime::LaunchRecord& rec = dev.sink().last();
+      if (rec.id != f.launch_id() || rec.t_end < rec.t_begin ||
+          rec.seconds != rec.t_end - rec.t_begin) {
+        records_complete = false;
+      }
+      if (flight && surfaced.size() == 1) {
+        flight->dump("gothic_fuzz fault plan: injected fault at launch " +
+                     std::to_string(f.launch_id()));
+      }
+    } catch (...) {
+      foreign_error = true;
+      if (flight) {
+        flight->dump("gothic_fuzz fault plan: non-injected exception");
+      }
+    }
+    // A faulted launch is still a node of the DAG: later launches may
+    // depend on it.
+    return s->last();
   };
 
   // The fixed DAG (kFaultLaunches = 8): two streams with cross-stream
@@ -171,69 +192,48 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   (void)issue("fault-b2", &b, e3);
   (void)issue("fault-a3", &a, e4);
   (void)issue("fault-b3", &b, runtime::Event{});
+  const std::size_t dag_faults = surfaced.size();
 
-  bool threw = false;
-  bool foreign_error = false;
-  std::uint64_t faulted_id = 0;
-  try {
-    dev.synchronize();
-  } catch (const InjectedFault& f) {
-    threw = true;
-    faulted_id = f.launch_id();
-    if (flight) {
-      flight->dump("gothic_fuzz fault plan: injected fault at launch " +
-                   std::to_string(faulted_id));
-    }
-  } catch (...) {
-    foreign_error = true;
-    if (flight) {
-      flight->dump("gothic_fuzz fault plan: non-injected exception");
-    }
-  }
-
-  bool second_clean = true;
-  try {
-    dev.synchronize();
-  } catch (...) {
-    second_clean = false;
-  }
-
-  bool reuse_ok = true;
-  const int before_reuse = ran.load(std::memory_order_relaxed);
-  try {
-    const runtime::Event er = issue("fault-reuse", &a, runtime::Event{});
-    dev.synchronize();
-    reuse_ok = er.valid() &&
-               ran.load(std::memory_order_relaxed) == before_reuse + 1;
-  } catch (...) {
-    reuse_ok = false;
-  }
+  const int before_reuse = ran;
+  const runtime::Event er = issue("fault-reuse", &a, runtime::Event{});
+  const bool reuse_ok = er.valid() && surfaced.size() == dag_faults &&
+                        ran == before_reuse + 1;
   dev.set_schedule_controller(nullptr);
   if (flight) dev.sink().set_listener(nullptr);
 
+  std::vector<std::uint64_t> distinct = surfaced;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  bool all_planned = true;
+  for (const std::uint64_t id : surfaced) {
+    all_planned = all_planned && std::find(plan.throw_at.begin(),
+                                           plan.throw_at.end(),
+                                           id) != plan.throw_at.end();
+  }
+
   out.injected_throws = ctrl.injected_throws();
   out.injected_stalls = ctrl.injected_stalls();
-  out.error_thrown = threw;
-  out.single_error = second_clean;
+  out.error_thrown = !surfaced.empty();
+  out.single_error =
+      distinct.size() == surfaced.size() &&
+      surfaced.size() == static_cast<std::size_t>(out.injected_throws);
+  out.record_complete = records_complete;
   out.device_reusable = reuse_ok;
   const auto expect_throws = static_cast<int>(count_in_dag(plan.throw_at));
   const auto expect_stalls = static_cast<int>(count_in_dag(plan.stall_at));
   const int expect_ran =
       static_cast<int>(kFaultLaunches) + 1 - out.injected_throws;
-  out.bodies_consistent = ran.load(std::memory_order_relaxed) == expect_ran;
+  out.bodies_consistent = ran == expect_ran;
 
   std::string d;
-  if (foreign_error) d += "synchronize raised a non-injected exception; ";
-  if (threw != (expect_throws > 0)) {
-    d += threw ? "synchronize raised an error with no throw planned; "
-               : "planned throw did not propagate out of synchronize; ";
+  if (foreign_error) d += "a launch raised a non-injected exception; ";
+  if (out.error_thrown != (expect_throws > 0)) {
+    d += out.error_thrown ? "a launch raised an error with no throw planned; "
+                          : "planned throw did not propagate out of its "
+                            "launch; ";
   }
-  if (threw &&
-      std::find(plan.throw_at.begin(), plan.throw_at.end(), faulted_id) ==
-          plan.throw_at.end()) {
-    d += "propagated fault id " + std::to_string(faulted_id) +
-         " was not in the plan; ";
-  }
+  if (!all_planned) d += "a propagated fault id was not in the plan; ";
   if (out.injected_throws != expect_throws) {
     d += "injected " + std::to_string(out.injected_throws) + " throws, plan " +
          std::to_string(expect_throws) + "; ";
@@ -242,11 +242,15 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
     d += "injected " + std::to_string(out.injected_stalls) + " stalls, plan " +
          std::to_string(expect_stalls) + "; ";
   }
-  if (!second_clean) d += "error propagated twice (second synchronize); ";
+  if (!out.single_error) {
+    d += std::to_string(surfaced.size()) + " errors surfaced for " +
+         std::to_string(out.injected_throws) + " injected throws; ";
+  }
+  if (!records_complete) d += "a faulting launch's record was incomplete; ";
   if (!reuse_ok) d += "device not reusable after the fault; ";
   if (!out.bodies_consistent) {
-    d += "ran " + std::to_string(ran.load(std::memory_order_relaxed)) +
-         " bodies, expected " + std::to_string(expect_ran) + "; ";
+    d += "ran " + std::to_string(ran) + " bodies, expected " +
+         std::to_string(expect_ran) + "; ";
   }
   if (d.size() >= 2) d.resize(d.size() - 2); // drop trailing "; "
   out.detail = d;
@@ -288,20 +292,18 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference) {
   ShardRunOutcome out;
   // Low bits so short sequential seed ranges already cover the matrix:
-  // bit 2 async mode, bits 3+ shard count, bit 5 the SIMD substrate
-  // (clamped to a no-op on hosts without AVX2). Bits 0-1 are unused, so
-  // existing tokens keep their leg.
+  // bits 3+ shard count, bit 5 the SIMD substrate (clamped to a no-op on
+  // hosts without AVX2). Bits 0-2 are unused, so existing tokens keep
+  // their shard count and substrate.
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
-  out.async = ((seed >> 2) & 1) != 0;
   const bool simd_on = ((seed >> 5) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
-  out.leg = leg_name(simd_on, out.async, out.shards);
+  out.leg = leg_name(simd_on, out.shards);
 
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
-  opt.async = out.async ? 1 : 0;
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                         fuzz_sim_config(cfg.rebuild_interval), opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
@@ -312,7 +314,7 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
 SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                               std::size_t count) {
   SweepReport rep;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const std::vector<real> ref = run_controlled(cfg, nullptr);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
     const ShardRunOutcome out = run_sharded(cfg, seed, ref);
@@ -341,7 +343,7 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
 
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc) {
-  runtime::Device dev(cfg.workers, 0);
+  runtime::Device dev(cfg.workers);
   runtime::ScopedDevice scope(dev);
   nbody::Simulation sim(
       sc.make(cfg.n, cfg.workload_seed),
@@ -355,20 +357,18 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
   const scenario::Scenario& sc = scenario::scenario_from_seed(seed);
   ScenarioRunOutcome out;
   out.scenario = sc.name;
-  // Same seed-bit encoding as run_sharded (bit 2 async, bits 3+ shard
-  // count, bit 5 SIMD) so one token language covers both sweeps; the
-  // scenario is an independent hash of the whole seed.
+  // Same seed-bit encoding as run_sharded (bits 3+ shard count, bit 5
+  // SIMD) so one token language covers both sweeps; the scenario is an
+  // independent hash of the whole seed.
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
-  out.async = ((seed >> 2) & 1) != 0;
   const bool simd_on = ((seed >> 5) & 1) != 0;
   simt::ScopedSimd simd(simd_on);
-  out.leg = leg_name(simd_on, out.async, out.shards);
+  out.leg = leg_name(simd_on, out.shards);
 
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
-  opt.async = out.async ? 1 : 0;
   nbody::Simulation sim(sc.make(cfg.n, cfg.workload_seed),
                         scenario_fuzz_config(sc, cfg.rebuild_interval), opt);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
@@ -385,7 +385,7 @@ ScenarioRunOutcome replay_scenario_seed(const FuzzConfig& cfg,
 SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
                                  std::uint64_t base_seed, std::size_t count) {
   SweepReport rep;
-  // One synchronous reference per scenario the seed range actually hits
+  // One reference per scenario the seed range actually hits
   // (IC generation can dwarf the run itself, e.g. the M31 model).
   std::map<std::string, std::vector<real>> refs;
   for (std::size_t i = 0; i < count; ++i) {
@@ -413,7 +413,6 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
-  opt.async = -1; // follow GOTHIC_ASYNC — check.sh sweeps both modes
   nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                         fuzz_sim_config(cfg.rebuild_interval), opt);
   (void)sim.step(); // a healthy step first, so the fault hits steady state
@@ -435,8 +434,8 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   } catch (...) {
     foreign_error = true;
   }
-  // step() synchronizes every device on both the clean and the error
-  // path, so the devices are idle and the controller can be detached.
+  // Every shard finished its phase before step() returned or threw, so
+  // the devices are idle and the controller can be detached.
   target.set_schedule_controller(nullptr);
   out.injected_throws = ctrl.injected_throws();
   out.error_thrown = threw;
@@ -447,17 +446,15 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   std::string stuck;
   for (int s = 0; s < out.shards; ++s) {
     runtime::Stream probe("fault-probe");
-    std::atomic<int> ran{0};
+    int ran = 0;
     runtime::LaunchDesc desc;
     desc.label = "fault-probe";
     desc.items = 1;
     desc.stream = &probe;
     try {
-      (void)sim.shard_device(s).launch(desc, [&ran](simt::OpCounts&) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-      sim.shard_device(s).synchronize();
-      if (ran.load(std::memory_order_relaxed) != 1) {
+      (void)sim.shard_device(s).launch(desc,
+                                       [&ran](simt::OpCounts&) { ++ran; });
+      if (ran != 1) {
         reusable = false;
         stuck += " shard " + std::to_string(s) + " probe body did not run;";
       }

@@ -2,16 +2,17 @@
 //
 // One seeded run executes a deterministic workload (fixed particle cloud,
 // fixed rebuild cadence) on fresh devices in the configuration its seed
-// encodes — SIMD substrate and, for the sharded and scenario legs, async
-// mode and shard count — and compares the final
-// particle state bit-for-bit against the synchronous (GOTHIC_ASYNC=0
-// semantics) reference run of the identical workload. Any failure is
-// reproducible from the failing 64-bit seed alone.
+// encodes — SIMD substrate and, for the sharded and scenario legs, shard
+// count — and compares the final particle state bit-for-bit against the
+// unsharded reference run of the identical workload on the default
+// substrate. Any failure is reproducible from the failing 64-bit seed
+// alone.
 //
 // sweep_faults drives randomized FaultPlans (launch-body exceptions and
-// leader stalls) through a small cross-stream launch DAG on a raw Device,
-// asserting the error contract per plan: exactly one first-wins error, and
-// a reusable device afterwards.
+// launch stalls) through a small cross-stream launch DAG on a raw Device,
+// asserting the error contract per plan: each injected throw surfaces
+// exactly once, from its own launch, with that launch's record complete,
+// and the device runs every later launch.
 //
 // Shared by tests/test_testkit.cpp and the tools/gothic_fuzz driver.
 #pragma once
@@ -43,10 +44,9 @@ nbody::SimConfig fuzz_sim_config(int rebuild_interval);
 std::vector<real> pack_state(const nbody::Particles& p);
 
 /// Run cfg.steps steps of the fuzz workload on a fresh device and return
-/// the packed final state. `async` false with a null controller is the
-/// synchronous reference; `async` true runs the stream scheduler, with
-/// `controller` (may be null) installed as its fault hook.
-std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
+/// the packed final state. A null controller gives the reference run;
+/// otherwise `controller` is installed as the device's fault hook.
+std::vector<real> run_controlled(const FuzzConfig& cfg,
                                  runtime::ScheduleController* controller);
 
 /// Outcome of one seeded run.
@@ -56,11 +56,11 @@ struct RunOutcome {
   bool bit_identical = false;
 };
 
-/// Replay one seed on an async device against a reference state (from
-/// run_controlled(cfg, false, nullptr)): the SIMD substrate from
-/// (seed >> 4) & 1, so a sweep cross-checks the AVX2 and scalar paths (a
-/// no-op on hosts without AVX2) and a failing seed alone reproduces the
-/// exact run. Bits 0-3 select nothing.
+/// Replay one seed against a reference state (from run_controlled(cfg,
+/// nullptr)): the SIMD substrate from (seed >> 4) & 1, so a sweep
+/// cross-checks the AVX2 and scalar paths (a no-op on hosts without AVX2)
+/// and a failing seed alone reproduces the exact run. Bits 0-3 select
+/// nothing.
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference);
 
@@ -89,8 +89,11 @@ std::string hex_seed(std::uint64_t seed);
 struct FaultOutcome {
   int injected_throws = 0;
   int injected_stalls = 0;
-  bool error_thrown = false;    ///< synchronize raised an InjectedFault
-  bool single_error = false;    ///< the next synchronize was clean
+  bool error_thrown = false;    ///< some launch raised an InjectedFault
+  /// Each injected throw surfaced exactly once, from the launch it hit.
+  bool single_error = false;
+  /// Every faulting launch's record was complete when its throw surfaced.
+  bool record_complete = false;
   bool device_reusable = false; ///< a post-fault launch ran to completion
   bool bodies_consistent = false; ///< non-faulted bodies all executed
   std::string detail;           ///< failure description (empty when ok)
@@ -117,21 +120,19 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 
 // --- Sharded pipeline sweeps ----------------------------------------------
 
-/// Outcome of one sharded run against the plain synchronous Simulation
+/// Outcome of one sharded run against the plain unsharded Simulation
 /// reference.
 struct ShardRunOutcome {
   int shards = 1;
-  bool async = false;
   std::string leg;
   bool bit_identical = false;
 };
 
 /// Run the fuzz workload through a sharded Simulation. The seed is the full
-/// replay token: async mode from (seed >> 2) & 1, shard count K in
-/// {1, 2, 4} from (seed >> 3) % 3 and the SIMD substrate from
-/// (seed >> 5) & 1 (bits 0-1 are unused). Compares bit-for-bit against
-/// `reference` (from run_controlled(cfg, false, nullptr) — the unsharded
-/// synchronous run).
+/// replay token: shard count K in {1, 2, 4} from (seed >> 3) % 3 and the
+/// SIMD substrate from (seed >> 5) & 1 (bits 0-2 are unused). Compares
+/// bit-for-bit against `reference` (from run_controlled(cfg, nullptr) —
+/// the unsharded run).
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference);
 
@@ -149,7 +150,7 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
                                       int rebuild_interval);
 
-/// Synchronous unsharded reference state of a scenario's fuzz workload
+/// Unsharded reference state of a scenario's fuzz workload
 /// (sc.make(cfg.n, cfg.workload_seed), cfg.steps steps).
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc);
@@ -158,15 +159,14 @@ std::vector<real> scenario_reference(const FuzzConfig& cfg,
 struct ScenarioRunOutcome {
   std::string scenario; ///< registry entry the seed selected
   int shards = 1;
-  bool async = false;
   std::string leg;
   bool bit_identical = false;
 };
 
 /// One scenario leg: the seed is the full replay token — the *scenario*
 /// comes from scenario::scenario_from_seed(seed) (hashed, so consecutive
-/// seeds land on different registry entries) and the async/shard-count/
-/// SIMD bits follow run_sharded's encoding. Compares the
+/// seeds land on different registry entries) and the shard-count/SIMD
+/// bits follow run_sharded's encoding. Compares the
 /// final state bit-for-bit against `reference` (scenario_reference of the
 /// same scenario); a printed seed therefore reproduces workload (ICs +
 /// force law) and configuration together.
@@ -178,8 +178,8 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
 ScenarioRunOutcome replay_scenario_seed(const FuzzConfig& cfg,
                                         std::uint64_t seed);
 
-/// N independent run_scenario runs; synchronous references are computed
-/// once per distinct scenario hit by the seed range.
+/// N independent run_scenario runs; references are computed once per
+/// distinct scenario hit by the seed range.
 SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
                                  std::uint64_t base_seed, std::size_t count);
 
@@ -195,12 +195,12 @@ struct ShardFaultOutcome {
   [[nodiscard]] bool ok() const { return detail.empty(); }
 };
 
-/// Build a sharded simulation (K in {2, 3, 4} from the seed; shard devices
-/// follow the GOTHIC_ASYNC environment), inject a launch-body throw into
-/// one shard's device mid-step, and assert the isolation contract: step()
-/// surfaces the injected fault exactly when it fired, and *every* shard
-/// device — including the faulted one — accepts and completes new work
-/// afterwards (one shard's failure must not poison the others).
+/// Build a sharded simulation (K in {2, 3, 4} from the seed), inject a
+/// launch-body throw into one shard's device mid-step, and assert the
+/// isolation contract: step() surfaces the injected fault exactly when it
+/// fired, and *every* shard device — including the faulted one — accepts
+/// and completes new work afterwards (one shard's failure must not poison
+/// the others).
 ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed);
 
 FaultSweepReport sweep_shard_faults(const FuzzConfig& cfg,

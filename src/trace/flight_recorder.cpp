@@ -37,7 +37,12 @@ std::string escaped(const std::string& s) {
   return out;
 }
 
-std::string quoted(const std::string& s) { return "\"" + escaped(s) + "\""; }
+std::string quoted(const std::string& s) {
+  std::string out(1, '"');
+  out += escaped(s);
+  out += '"';
+  return out;
+}
 
 std::string num(double v) {
   char buf[40];

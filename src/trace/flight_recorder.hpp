@@ -27,7 +27,7 @@
 // Thread discipline matches InstrumentationSink: on_record() runs under
 // the issuing device's launch lock (single device ⇒ serialized);
 // record_only()/on_step()/write()/dump() are host-thread calls made while
-// no launch targeting the feeding sink is in flight.
+// no launch targeting the feeding sink runs.
 #pragma once
 
 #include "runtime/stream.hpp"

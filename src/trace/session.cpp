@@ -39,7 +39,8 @@ void Session::on_record(const runtime::LaunchRecord& rec) {
 void Session::on_step(const runtime::StepMark& mark) {
   if (writer_) writer_->on_step(mark);
   metrics_.record_step(mark);
-  // Host-thread call (after the step's synchronize) — file I/O is safe.
+  // Host-thread call (after the step's launches completed) — file I/O is
+  // safe.
   if (telemetry_) telemetry_->write_step(mark, metrics_);
 }
 

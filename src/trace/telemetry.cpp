@@ -44,9 +44,8 @@ TelemetryWriter::TelemetryWriter(std::string path) : path_(std::move(path)) {
 
 void TelemetryWriter::write_config() {
   // The run's environment fingerprint — enough to group/partition a
-  // scraped time series by scheduler and substrate configuration.
+  // scraped time series by substrate and device configuration.
   os_ << "{\"type\": \"config\", \"v\": 1"
-      << ", \"async\": " << env_size("GOTHIC_ASYNC", 1)
       << ", \"simd\": " << env_size("GOTHIC_SIMD", 1)
       << ", \"threads\": " << env_size("GOTHIC_THREADS", 0)
       << ", \"shards\": " << env_size("GOTHIC_SHARDS", 1) << "}\n"

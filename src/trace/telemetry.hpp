@@ -4,8 +4,8 @@
 // series any external scraper can tail:
 //
 //   {"type":"config","v":1,...}    once, at construction — the run's
-//                                  config fingerprint (async/simd/threads/
-//                                  shards environment settings)
+//                                  config fingerprint (simd/threads/shards
+//                                  environment settings)
 //   {"type":"step","v":1,...}      once per step — the StepMark's timing,
 //                                  walk/shard imbalance and LET traffic,
 //                                  plus cumulative per-kernel launch
@@ -14,11 +14,11 @@
 //                                  that step.
 //
 // The writer is driven from trace::Session::on_step(), which Simulation
-// calls on the host thread after the step's synchronize — file I/O is safe
-// there and adds nothing to the launch hot path. Enablement follows the
-// same pattern as GOTHIC_TRACE: GOTHIC_TELEMETRY=<path> (or a Session
-// constructed with an explicit path). An unwritable path errors once to
-// stderr and disables the stream; the run continues.
+// calls on the host thread once the step's launches completed — file I/O
+// is safe there and adds nothing to the launch hot path. Enablement
+// follows the same pattern as GOTHIC_TRACE: GOTHIC_TELEMETRY=<path> (or a
+// Session constructed with an explicit path). An unwritable path errors
+// once to stderr and disables the stream; the run continues.
 #pragma once
 
 #include "runtime/stream.hpp"

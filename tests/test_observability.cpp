@@ -231,7 +231,7 @@ TEST(FlightRecorder, DumpKeepsGoldenSchema) {
 
 TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   trace::FlightRecorder flight;
-  runtime::Device dev(2, /*async=*/1);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   sink.set_listener(&flight);
 
@@ -254,13 +254,13 @@ TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   desc.stream = &b;
   desc.label = "b1";
   desc.deps = {e1, runtime::Event{}, runtime::Event{}, runtime::Event{}};
-  (void)dev.launch(desc, [](simt::OpCounts&) {});
-  EXPECT_THROW(dev.synchronize(), testkit::InjectedFault);
+  EXPECT_THROW((void)dev.launch(desc, [](simt::OpCounts&) {}),
+               testkit::InjectedFault);
   EXPECT_EQ(ctrl.injected_throws(), 1);
   dev.set_schedule_controller(nullptr);
   sink.set_listener(nullptr);
 
-  // All three launches completed their records — the faulted body
+  // All three launches completed their records — the faulted one
   // included — so the incident dump carries the full DAG neighborhood.
   EXPECT_EQ(flight.seen_records(), 3u);
   const std::string path = "test_flight_fault_dump.json";
@@ -391,9 +391,10 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   const JsonValue& cfg = docs[0];
   EXPECT_EQ(require(cfg, "type", JsonValue::Type::String).str, "config");
   EXPECT_EQ(require(cfg, "v", JsonValue::Type::Number).number, 1.0);
-  require(cfg, "async", JsonValue::Type::Number);
   require(cfg, "simd", JsonValue::Type::Number);
-  // One FIFO lane per device: there is no lane count to fingerprint.
+  // Launches run synchronously on devices without a launch queue: there
+  // is no scheduler mode or lane count to fingerprint.
+  EXPECT_FALSE(cfg.has("async"));
   EXPECT_FALSE(cfg.has("lanes"));
   require(cfg, "threads", JsonValue::Type::Number);
   require(cfg, "shards", JsonValue::Type::Number);
@@ -550,7 +551,6 @@ TEST(FlightIntegration, ShardFaultDumpsTheRingOnTheErrorPath) {
   nbody::ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   nbody::ShardedSimulation sim(plummer(512, 41), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);
   ASSERT_NE(sim.flight_recorder(), nullptr);
@@ -587,7 +587,6 @@ TEST(FlightIntegration, TwoFaultingInstancesKeepDistinctDumps) {
   nbody::ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   nbody::ShardedSimulation one(plummer(512, 41), small_config(), opt);
   nbody::ShardedSimulation two(plummer(512, 43), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);

@@ -209,10 +209,11 @@ TEST(Device, WorkerArenasRetainCapacityAcrossLaunches) {
 }
 
 TEST(Device, HostCollectiveAndLaunchBodyShareTheWorkerPool) {
-  // The host thread and the async leader fork onto one team. A host-thread
-  // collective issued while a launch body runs its own collectives must
-  // take turns with it: each covers its own range exactly once per round.
-  Device dev(3, /*async=*/1);
+  // Two host threads fork onto one device's team: a launch body issued
+  // from a second thread runs its collectives while this thread runs its
+  // own. They must take turns on the one pool: each covers its own range
+  // exactly once per round.
+  Device dev(3);
   constexpr std::size_t kItems = 2048;
   constexpr int kRounds = 200;
   std::vector<std::atomic<int>> body_hits(kItems);
@@ -222,15 +223,17 @@ TEST(Device, HostCollectiveAndLaunchBodyShareTheWorkerPool) {
     host_hits[i].store(0, std::memory_order_relaxed);
   }
   std::atomic<bool> started{false};
-  LaunchDesc desc;
-  desc.label = "body-collective";
-  (void)dev.launch(desc, [&](simt::OpCounts&) {
-    started.store(true, std::memory_order_release);
-    for (int r = 0; r < kRounds; ++r) {
-      Device::current().parallel_for(0, kItems, [&](std::size_t i) {
-        body_hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-    }
+  std::thread issuer([&] {
+    LaunchDesc desc;
+    desc.label = "body-collective";
+    (void)dev.launch(desc, [&](simt::OpCounts&) {
+      started.store(true, std::memory_order_release);
+      for (int r = 0; r < kRounds; ++r) {
+        Device::current().parallel_for(0, kItems, [&](std::size_t i) {
+          body_hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
   });
   while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   for (int r = 0; r < kRounds; ++r) {
@@ -238,7 +241,7 @@ TEST(Device, HostCollectiveAndLaunchBodyShareTheWorkerPool) {
       host_hits[i].fetch_add(1, std::memory_order_relaxed);
     });
   }
-  dev.synchronize();
+  issuer.join();
   for (std::size_t i = 0; i < kItems; ++i) {
     ASSERT_EQ(body_hits[i].load(), kRounds) << "body index " << i;
     ASSERT_EQ(host_hits[i].load(), kRounds) << "host index " << i;
@@ -269,28 +272,38 @@ int settled_thread_delta(int before, int expected) {
   return delta;
 }
 
+nbody::Particles uniform_cloud(std::size_t n);
+
 TEST(Device, AsyncDeviceRunsOneThreadPerWorker) {
-  // One worker set per device: n - 1 team members plus, when asynchronous,
-  // one leader that is worker 0 of every launch-body collective.
+  // An n-worker device runs n - 1 team threads: the issuing thread is
+  // worker 0 of every collective, launch bodies included. A K-shard
+  // engine with w workers per shard adds K(w - 1) shard-pool threads plus
+  // K - 1 host-team threads (member 0 is the caller of step()).
   int before = process_threads();
   for (int i = 0; i < 20; ++i) { // let earlier tests' threads be reaped
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     before = std::min(before, process_threads());
   }
   {
-    Device dev(4, /*async=*/1);
+    Device dev(4);
     LaunchDesc desc;
     (void)dev.launch(desc, [](simt::OpCounts&) {
       Device::current().for_workers([](Worker&) {});
     });
-    dev.synchronize();
-    EXPECT_EQ(dev.lane_count(), 1);
-    EXPECT_EQ(settled_thread_delta(before, 4), 4);
-  }
-  {
-    Device dev(4, /*async=*/0);
-    EXPECT_EQ(dev.lane_count(), 0);
     EXPECT_EQ(settled_thread_delta(before, 3), 3);
+  }
+  nbody::SimConfig cfg;
+  cfg.auto_rebuild = false;
+  cfg.fixed_rebuild_interval = 2;
+  for (const auto& [shards, workers] : {std::pair{2, 3}, std::pair{4, 1}}) {
+    nbody::ShardOptions opt;
+    opt.shards = shards;
+    opt.workers = workers;
+    nbody::Simulation sim(uniform_cloud(512), cfg, opt);
+    sim.run(2);
+    const int expected = shards * (workers - 1) + shards - 1;
+    EXPECT_EQ(settled_thread_delta(before, expected), expected)
+        << "K=" << shards << " w=" << workers;
   }
 }
 #endif
@@ -299,7 +312,7 @@ TEST(Device, AsyncDeviceRunsOneThreadPerWorker) {
 // --- Streams, events, instrumentation -------------------------------------
 
 TEST(Launch, RecordsIdsOpsAndSink) {
-  Device dev(2, /*async=*/0); // synchronous: the record is complete on return
+  Device dev(2); // the record is complete when launch() returns
   InstrumentationSink sink;
   Stream s("tree");
   LaunchDesc desc;
@@ -335,7 +348,6 @@ TEST(Launch, SameStreamLaunchesAreImplicitlyOrdered) {
   desc.sink = &sink;
   const Event a = dev.launch(desc, [](simt::OpCounts&) {});
   (void)dev.launch(desc, [](simt::OpCounts&) {});
-  dev.synchronize();
   const LaunchRecord& second = sink.last();
   EXPECT_EQ(second.deps[0], a.id); // CUDA stream semantics, recorded
 }
@@ -357,7 +369,6 @@ TEST(Launch, CrossStreamDepsAreRecordedAndDeduplicated) {
   wd.deps = {e_pred, e_calc};
   wd.sink = &sink;
   (void)dev.launch(wd, [](simt::OpCounts&) {});
-  dev.synchronize();
   const LaunchRecord& walk = sink.last();
   // Explicit {pred, calc}; the implicit same-stream dep duplicates calc and
   // must not be recorded twice.
@@ -373,80 +384,51 @@ TEST(Launch, UnissuedDependencyThrows) {
   EXPECT_THROW(dev.launch(desc, [](simt::OpCounts&) {}), std::logic_error);
   // Issue validation failures must not wedge the device.
   (void)dev.launch(LaunchDesc{}, [](simt::OpCounts&) {});
-  dev.synchronize();
 }
 
 TEST(Launch, ForeignDeviceDependencyThrows) {
   Device a(1), b(1);
   LaunchDesc desc;
   const Event e = a.launch(desc, [](simt::OpCounts&) {});
-  a.synchronize();
   LaunchDesc bad;
   bad.deps = {e};
   EXPECT_THROW(b.launch(bad, [](simt::OpCounts&) {}), std::logic_error);
 }
 
-TEST(Launch, AsyncRecordCompletesByEventWait) {
-  Device dev(2, /*async=*/1);
+TEST(Launch, BodyRunsOnTheLaunchingDevice) {
+  // A launch installs its device as Device::current() for the body, so
+  // kernels resolve the device that launched them — not the caller's
+  // ScopedDevice override or Device::shared().
+  Device sentinel(1);
+  ScopedDevice scope(sentinel);
+  Device dev(2);
+  Device* seen = nullptr;
+  (void)dev.launch(LaunchDesc{},
+                   [&seen](simt::OpCounts&) { seen = &Device::current(); });
+  EXPECT_EQ(seen, &dev);
+  EXPECT_EQ(&Device::current(), &sentinel); // restored after the body
+}
+
+TEST(Launch, BodyErrorPropagatesFromLaunchAndDeviceStaysUsable) {
+  Device dev(2);
+  Device sentinel(1);
+  ScopedDevice scope(sentinel);
   InstrumentationSink sink;
-  Stream s("tree");
   LaunchDesc desc;
-  desc.kernel = Kernel::CalcNode;
   desc.sink = &sink;
-  desc.stream = &s;
-  std::atomic<int> ran{0};
-  const Event e = dev.launch(desc, [&ran](simt::OpCounts& ops) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ops.int_ops += 7;
-    ran.store(1, std::memory_order_release);
-  });
-  e.wait(); // a real completion handle now
-  EXPECT_EQ(ran.load(std::memory_order_acquire), 1);
-  dev.synchronize();
-  const LaunchRecord& rec = sink.last();
-  EXPECT_EQ(rec.id, e.id);
-  EXPECT_EQ(rec.ops.int_ops, 7u);
-  EXPECT_GT(rec.workers, 0);
-  EXPECT_GE(rec.t_end, rec.t_begin);
-  EXPECT_DOUBLE_EQ(rec.seconds, rec.t_end - rec.t_begin);
-}
-
-TEST(Launch, CrossStreamEventOrdering) {
-  // Ping-pong a strictly ordered chain of launches across two streams:
-  // every launch depends on the previous one on the *other* stream. Run
-  // under TSan this doubles as the data-race stress test for the leader's
-  // queue handshake.
-  Device dev(2, /*async=*/1);
-  Stream a("a"), b("b");
-  constexpr int kRounds = 64;
-  std::vector<int> seq;
-  seq.reserve(2 * kRounds);
-  Event prev{};
-  for (int i = 0; i < 2 * kRounds; ++i) {
-    LaunchDesc desc;
-    desc.stream = (i % 2 == 0) ? &a : &b;
-    desc.deps = {prev};
-    prev = dev.launch(desc, [&seq, i](simt::OpCounts&) {
-      seq.push_back(i);
-    });
-  }
-  dev.synchronize();
-  ASSERT_EQ(seq.size(), static_cast<std::size_t>(2 * kRounds));
-  for (int i = 0; i < 2 * kRounds; ++i) EXPECT_EQ(seq[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Launch, AsyncBodyErrorSurfacesAtSynchronize) {
-  Device dev(2, /*async=*/1);
-  LaunchDesc desc;
-  (void)dev.launch(desc, [](simt::OpCounts&) {
-    throw std::runtime_error("body failed");
-  });
-  EXPECT_THROW(dev.synchronize(), std::runtime_error);
-  // The error is cleared and the device stays usable.
-  std::atomic<int> ran{0};
-  (void)dev.launch(desc, [&ran](simt::OpCounts&) { ran.store(1); });
-  dev.synchronize();
-  EXPECT_EQ(ran.load(), 1);
+  EXPECT_THROW((void)dev.launch(desc,
+                                [](simt::OpCounts&) {
+                                  throw std::runtime_error("body failed");
+                                }),
+               std::runtime_error);
+  // The faulting launch left a complete record and restored the override.
+  ASSERT_EQ(sink.step_records().size(), 1u);
+  EXPECT_GE(sink.last().t_end, sink.last().t_begin);
+  EXPECT_EQ(&Device::current(), &sentinel);
+  int ran = 0;
+  (void)dev.launch(desc, [&ran](simt::OpCounts&) { ran = 1; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sink.step_records().size(), 2u);
 }
 
 TEST(Sink, LastThrowsWhenEmpty) {
@@ -457,7 +439,7 @@ TEST(Sink, LastThrowsWhenEmpty) {
 }
 
 TEST(Device, DispatchPropagatesExactlyOneError) {
-  Device dev(4, /*async=*/0);
+  Device dev(4);
   auto reusable = [&dev] {
     std::vector<int> hits(16, 0);
     dev.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] = 1; });
@@ -662,40 +644,8 @@ TEST(SimulationRuntime, SteadyStateStepsDoZeroArenaHeapAllocations) {
   EXPECT_EQ(dev.arena_heap_allocations(), warm);
 }
 
-TEST(SimulationRuntime, AsyncMatchesSyncBitIdentical) {
-  // The tentpole's acceptance gate: a full step loop (including rebuild
-  // steps) produces bit-identical particle state whether the launch DAG is
-  // executed synchronously or by the asynchronous stream scheduler.
-  auto run = [](int workers, int async) {
-    Device dev(workers, async);
-    ScopedDevice scope(dev);
-    nbody::SimConfig cfg;
-    cfg.auto_rebuild = false;
-    cfg.fixed_rebuild_interval = 3;
-    nbody::Simulation sim(uniform_cloud(640), cfg);
-    sim.run(7);
-    return sim;
-  };
-  for (int workers : {1, 2, 4}) {
-    const auto sync = run(workers, 0);
-    const auto async = run(workers, 1);
-    const auto& ps = sync.particles();
-    const auto& pa = async.particles();
-    ASSERT_EQ(ps.size(), pa.size());
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      EXPECT_EQ(ps.x[i], pa.x[i]) << "workers " << workers << " body " << i;
-      EXPECT_EQ(ps.y[i], pa.y[i]) << "workers " << workers << " body " << i;
-      EXPECT_EQ(ps.z[i], pa.z[i]) << "workers " << workers << " body " << i;
-      EXPECT_EQ(ps.vx[i], pa.vx[i]) << "workers " << workers << " body " << i;
-      EXPECT_EQ(ps.vy[i], pa.vy[i]) << "workers " << workers << " body " << i;
-      EXPECT_EQ(ps.vz[i], pa.vz[i]) << "workers " << workers << " body " << i;
-    }
-    EXPECT_EQ(sync.rebuild_count(), async.rebuild_count());
-  }
-}
-
 TEST(SimulationRuntime, StepReportCarriesWallAndOverlap) {
-  Device dev(2, /*async=*/1);
+  Device dev(2);
   ScopedDevice scope(dev);
   nbody::SimConfig cfg;
   cfg.auto_rebuild = false;
@@ -776,12 +726,11 @@ TEST(SimulationRuntime, StepsBitIdenticalAcrossWorkerCounts) {
 // --- one-lane boundaries ---------------------------------------------------
 
 TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
-  // Every async device is one FIFO lane, whatever its worker count. At both
-  // boundaries — a lone worker that also leads the lane, and a pool wider
-  // than the DAG — a cross-stream DAG runs with its dependency order intact.
+  // Launches run in issue order whatever the worker count. At both
+  // boundaries — a lone worker, and a pool wider than the DAG — a
+  // cross-stream DAG runs with its dependency order intact.
   for (int workers : {1, 8}) {
-    Device dev(workers, 1);
-    EXPECT_EQ(dev.lane_count(), 1) << "workers " << workers;
+    Device dev(workers);
     Stream a("A");
     Stream b("B");
     std::atomic<int> stage{0};
@@ -805,7 +754,6 @@ TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
       int expected = 2;
       stage.compare_exchange_strong(expected, 3);
     });
-    dev.synchronize();
     EXPECT_EQ(stage.load(), 3) << "workers " << workers;
   }
 }
@@ -813,14 +761,14 @@ TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
 // --- schedule stress -------------------------------------------------------
 
 TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
-  // Free-running stress over random DAGs on 4 streams of one device: every
-  // body asserts that all of its dependencies published their completion
-  // flags before it started, and that it runs right after the launch
-  // issued before it (the device is one FIFO lane).
+  // Stress over random DAGs on 4 streams of one device: every body asserts
+  // that all of its dependencies published their completion flags before
+  // it started, and that it runs right after the launch issued before it
+  // (launches run to completion in issue order).
   Xoshiro256 rng(99);
   constexpr int kN = 200;
   for (int round = 0; round < 4; ++round) {
-    Device dev(4, 1);
+    Device dev(4);
     Stream streams[4] = {Stream{"s0"}, Stream{"s1"}, Stream{"s2"},
                          Stream{"s3"}};
     std::vector<std::atomic<int>> done(kN + 1);
@@ -857,7 +805,6 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
             flags[i].store(1, std::memory_order_release);
           });
     }
-    dev.synchronize();
     EXPECT_EQ(violations.load(), 0) << "round " << round;
     for (int i = 1; i <= kN; ++i) {
       ASSERT_EQ(done[static_cast<std::size_t>(i)].load(), 1)

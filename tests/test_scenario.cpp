@@ -1,6 +1,6 @@
 // The scenario registry: registry invariants, config-file derivation, the
 // fuzz seed->scenario map, and the acceptance matrix — every registered
-// scenario must keep the shard/SIMD/async bit-identity contract and every
+// scenario must keep the shard/SIMD bit-identity contract and every
 // scenario must have a deterministically replayable fuzz seed.
 #include "scenario/registry.hpp"
 
@@ -151,10 +151,12 @@ TEST(ScenarioConfigFile, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
-// --- Acceptance matrix: bit-identity across shard/async/SIMD legs ---------
+// --- Acceptance matrix: bit-identity across shard/SIMD legs ---------------
 // Every registered scenario (any force law) must produce the exact state
-// of the synchronous unsharded run when sharded, run async, or run on the
-// AVX2 substrate — the same contract the gravity fuzz sweeps pin.
+// of the ambient-device unsharded run when run on an owned device,
+// sharded, or run on the AVX2 substrate — the same contract the gravity
+// fuzz sweeps pin. (The test keeps its historical name; the scheduler
+// dimension it once covered no longer exists.)
 
 class ScenarioMatrix : public ::testing::TestWithParam<std::string> {};
 
@@ -165,12 +167,11 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
   fc.steps = 4;
   const std::vector<real> ref = testkit::scenario_reference(fc, sc);
 
-  const auto leg = [&](int shards, bool async, bool simd_on) {
+  const auto leg = [&](int shards, bool simd_on) {
     simt::ScopedSimd simd(simd_on); // no-op on hosts without AVX2
     nbody::ShardOptions opt;
     opt.shards = shards;
     opt.workers = fc.workers;
-    opt.async = async ? 1 : 0;
     nbody::Simulation sim(
         sc.make(fc.n, fc.workload_seed),
         testkit::scenario_fuzz_config(sc, fc.rebuild_interval), opt);
@@ -178,15 +179,15 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     return testkit::pack_state(sim.particles());
   };
 
-  EXPECT_EQ(leg(1, true, false), ref) << sc.name << ": async unsharded";
-  EXPECT_EQ(leg(2, false, false), ref) << sc.name << ": K=2 sync";
-  EXPECT_EQ(leg(4, true, true), ref) << sc.name << ": K=4 async simd";
+  EXPECT_EQ(leg(1, false), ref) << sc.name << ": owned-device unsharded";
+  EXPECT_EQ(leg(2, false), ref) << sc.name << ": K=2";
+  EXPECT_EQ(leg(4, true), ref) << sc.name << ": K=4 simd";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, ScenarioMatrix, ::testing::ValuesIn(scenario_names()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string name = param_info.param;
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
@@ -217,7 +218,6 @@ TEST(ScenarioFuzz, EveryScenarioHasAReplayableSeed) {
     EXPECT_TRUE(again.bit_identical) << name;
     EXPECT_EQ(again.leg, out.leg) << name;
     EXPECT_EQ(again.shards, out.shards) << name;
-    EXPECT_EQ(again.async, out.async) << name;
   }
 }
 

@@ -214,7 +214,7 @@ TEST(SessionManager, ObserveFoldsServiceGaugesIntoTheRegistry) {
 //
 // The gothic_fuzz service leg run deterministically: >= 8 sessions of
 // mixed registry scenarios on a seeded pool, one fault family injected
-// (launch throws / leader stalls / arena OOM), isolation + bit-identity
+// (launch throws / launch stalls / arena OOM), isolation + bit-identity
 // asserted by run_service_fault itself. Seeds cover all three families
 // (kind = mix(seed) >> 4 mod 3).
 

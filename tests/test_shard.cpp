@@ -1,8 +1,9 @@
 // Sharded Simulation: the K-shard step must be bit-identical to the
-// ambient-device Simulation for any shard count, worker count and async
-// mode (rebuilds included), report per-shard busy time and LET traffic,
-// isolate one shard's launch fault from the other shards' devices, and
-// account a faulted step the same way for every K.
+// ambient-device Simulation for any shard count and worker count (rebuilds
+// included), run each shard's kernels on that shard's device, report
+// per-shard busy time and LET traffic, isolate one shard's launch fault
+// from the other shards' devices, and account a faulted step the same way
+// for every K.
 #include "nbody/simulation.hpp"
 #include "runtime/device.hpp"
 #include "testkit/fault.hpp"
@@ -10,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -71,37 +71,52 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
   ref.run(kSteps);
 
   for (const int shards : {1, 2, 4}) {
-    for (const int async : {0, 1}) {
-      ShardOptions opt;
-      opt.shards = shards;
-      opt.workers = 3;
-      opt.async = async;
-      Simulation sim(plummer(kN, 5), shard_config(), opt);
-      sim.run(kSteps);
-      const std::string what =
-          "K=" + std::to_string(shards) + " async=" + std::to_string(async);
-      expect_state_equal(sim.particles(), ref.particles(), what);
-      EXPECT_EQ(sim.step_count(), ref.step_count());
-      EXPECT_EQ(sim.rebuild_count(), ref.rebuild_count());
-      EXPECT_EQ(sim.time(), ref.time());
-      if (shards != 1) continue;
+    ShardOptions opt;
+    opt.shards = shards;
+    opt.workers = 3;
+    Simulation sim(plummer(kN, 5), shard_config(), opt);
+    sim.run(kSteps);
+    const std::string what = "K=" + std::to_string(shards);
+    expect_state_equal(sim.particles(), ref.particles(), what);
+    EXPECT_EQ(sim.step_count(), ref.step_count());
+    EXPECT_EQ(sim.rebuild_count(), ref.rebuild_count());
+    EXPECT_EQ(sim.time(), ref.time());
+    if (shards != 1) continue;
 
-      // The ambient-device engine on the same device shape is the same
-      // K = 1 step: same bits, same per-kernel work, same rebuilds.
-      runtime::Device dev(opt.workers, opt.async);
-      runtime::ScopedDevice scope(dev);
-      Simulation ambient(plummer(kN, 5), shard_config());
-      ambient.run(kSteps);
-      expect_state_equal(ambient.particles(), sim.particles(),
-                         what + " ambient");
-      for (int k = 0; k < static_cast<int>(Kernel::Count); ++k) {
-        EXPECT_EQ(ambient.kernel_ops(static_cast<Kernel>(k)),
-                  sim.kernel_ops(static_cast<Kernel>(k)))
-            << what << " ambient: " << kernel_name(static_cast<Kernel>(k));
-      }
-      EXPECT_EQ(ambient.rebuild_count(), sim.rebuild_count());
+    // The ambient-device engine on the same device shape is the same
+    // K = 1 step: same bits, same per-kernel work, same rebuilds.
+    runtime::Device dev(opt.workers);
+    runtime::ScopedDevice scope(dev);
+    Simulation ambient(plummer(kN, 5), shard_config());
+    ambient.run(kSteps);
+    expect_state_equal(ambient.particles(), sim.particles(),
+                       what + " ambient");
+    for (int k = 0; k < static_cast<int>(Kernel::Count); ++k) {
+      EXPECT_EQ(ambient.kernel_ops(static_cast<Kernel>(k)),
+                sim.kernel_ops(static_cast<Kernel>(k)))
+          << what << " ambient: " << kernel_name(static_cast<Kernel>(k));
     }
+    EXPECT_EQ(ambient.rebuild_count(), sim.rebuild_count());
   }
+}
+
+TEST(Shard, KernelsRunOnTheirShardDevices) {
+  // Every kernel of a K > 1 step resolves Device::current() to its own
+  // shard's device — never to the caller's ScopedDevice override (nor to
+  // Device::shared()): the collectives' busy time lands on the shard
+  // devices and the caller's device stays idle.
+  runtime::Device sentinel(2);
+  runtime::ScopedDevice scope(sentinel);
+  ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  Simulation sim(plummer(4096, 4), shard_config(), opt);
+  sim.run(8);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_GT(sim.shard_device(s).worker_busy_seconds_total(), 0.0)
+        << "shard " << s;
+  }
+  EXPECT_EQ(sentinel.worker_busy_seconds_total(), 0.0);
 }
 
 TEST(Shard, BitIdenticalAcrossWorkerCounts) {
@@ -111,7 +126,6 @@ TEST(Shard, BitIdenticalAcrossWorkerCounts) {
     ShardOptions opt;
     opt.shards = 2;
     opt.workers = workers;
-    opt.async = 1;
     Simulation sim(plummer(kN, 6), shard_config(), opt);
     sim.run(kSteps);
     expect_state_equal(sim.particles(), ref.particles(),
@@ -190,7 +204,6 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   ShardOptions opt;
   opt.shards = 3;
   opt.workers = 2;
-  opt.async = 1;
   Simulation sim(plummer(512, 10), shard_config(), opt);
   (void)sim.step(); // fault against steady state, not the bootstrap
 
@@ -207,27 +220,24 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   // Every shard device — the faulted one included — accepts new work.
   for (int s = 0; s < 3; ++s) {
     runtime::Stream probe("fault-probe");
-    std::atomic<int> ran{0};
+    int ran = 0;
     runtime::LaunchDesc desc;
     desc.label = "fault-probe";
     desc.items = 1;
     desc.stream = &probe;
-    (void)sim.shard_device(s).launch(desc, [&ran](simt::OpCounts&) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    sim.shard_device(s).synchronize();
-    EXPECT_EQ(ran.load(), 1) << "shard " << s;
+    (void)sim.shard_device(s).launch(desc,
+                                     [&ran](simt::OpCounts&) { ++ran; });
+    EXPECT_EQ(ran, 1) << "shard " << s;
   }
 }
 
 TEST(Shard, FaultedStepIsCountedAlikeForEveryShardCount) {
   // A step that throws has advanced time(); it must also have advanced
   // step_count(), and by the same rule at K = 1 (ambient device) and K = 2.
-  runtime::Device ambient_dev(2, /*async=*/1);
+  runtime::Device ambient_dev(2);
   ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   std::unique_ptr<Simulation> one;
   {
     runtime::ScopedDevice scope(ambient_dev);
@@ -275,6 +285,11 @@ TEST(Shard, RefreshForcesMatchesUnsharded) {
 TEST(Shard, RejectsInvalidOptions) {
   ShardOptions bad;
   bad.shards = 0;
+  EXPECT_THROW(Simulation(plummer(64, 12), shard_config(), bad),
+               std::invalid_argument);
+  // Rejected before any device is built: the host team has one member per
+  // shard.
+  bad.shards = runtime::Device::kMaxWorkers + 1;
   EXPECT_THROW(Simulation(plummer(64, 12), shard_config(), bad),
                std::invalid_argument);
   EXPECT_THROW(Simulation(Particles(), shard_config(), ShardOptions{}),

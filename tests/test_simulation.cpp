@@ -118,8 +118,8 @@ struct DefaultRun {
   std::vector<simt::OpCounts> ops;
 };
 
-DefaultRun run_default_config(int workers, bool async) {
-  runtime::Device dev(workers, async ? 1 : 0);
+DefaultRun run_default_config(int workers) {
+  runtime::Device dev(workers);
   runtime::ScopedDevice scope(dev);
   Simulation sim(plummer(1024, 12), SimConfig{});
   DefaultRun out;
@@ -135,23 +135,19 @@ DefaultRun run_default_config(int workers, bool async) {
 
 TEST(Simulation, DefaultConfigIsDeterministicAcrossDevices) {
   // Auto-tuned rebuilds and the walk's work queue on block steps: the
-  // tuner is fed modelled seconds, so the worker count and scheduler mode
-  // change neither the rebuild steps nor the bits. (A tuner fed host
-  // wall-clock seconds rebuilds on different steps run to run over this
-  // many steps.)
-  const DefaultRun ref = run_default_config(1, false);
+  // tuner is fed modelled seconds, so the worker count changes neither
+  // the rebuild steps nor the bits. (A tuner fed host wall-clock seconds
+  // rebuilds on different steps run to run over this many steps.)
+  const DefaultRun ref = run_default_config(1);
   ASSERT_GE(ref.rebuild_steps.size(), 2u);
-  for (const auto& [workers, async] :
-       {std::pair{4, false}, std::pair{4, true}}) {
-    const DefaultRun run = run_default_config(workers, async);
-    EXPECT_EQ(run.rebuild_steps, ref.rebuild_steps)
-        << workers << " workers, async " << async;
-    EXPECT_TRUE(run.state == ref.state)
-        << workers << " workers, async " << async;
+  for (const int workers : {3, 4}) {
+    const DefaultRun run = run_default_config(workers);
+    EXPECT_EQ(run.rebuild_steps, ref.rebuild_steps) << workers << " workers";
+    EXPECT_TRUE(run.state == ref.state) << workers << " workers";
     for (std::size_t k = 0; k < ref.ops.size(); ++k) {
       EXPECT_TRUE(run.ops[k] == ref.ops[k])
           << kernel_name(static_cast<Kernel>(k)) << ", " << workers
-          << " workers, async " << async;
+          << " workers";
     }
   }
 }
@@ -242,10 +238,10 @@ TEST(Simulation, ThrowsOnEmptyParticleSet) {
 }
 
 TEST(Simulation, RandomizedLaunchSchedulesAreBitIdenticalToSyncReference) {
-  // Seeded stress: run the step loop on the asynchronous engine under a
-  // batch of seeds, each selecting a SIMD substrate, and require
-  // bit-identical particle state against the synchronous reference run —
-  // every seed is a full repro token if this ever fails.
+  // Seeded stress: run the step loop under a batch of seeds, each
+  // selecting a SIMD substrate, and require bit-identical particle state
+  // against the default-substrate reference run — every seed is a full
+  // repro token if this ever fails.
   testkit::FuzzConfig cfg;
   cfg.n = 128;
   cfg.steps = 8;

@@ -1,9 +1,9 @@
 // The testkit itself: the seeded fuzz driver over Simulation::step
-// (bit-identity against the synchronous reference, deterministic replay),
-// fault injection (launch-body exceptions, worker stalls, arena
-// exhaustion) with the first-wins error contract and device reuse,
-// torn-record protection for instrumentation listeners, and the
-// zero-overhead guarantee when no schedule controller is installed.
+// (bit-identity against the reference run, deterministic replay), fault
+// injection (launch-body exceptions, launch stalls, arena exhaustion)
+// with the launch error contract and device reuse, torn-record
+// protection for instrumentation listeners, and the zero-overhead
+// guarantee when no schedule controller is installed.
 #include "testkit/fault.hpp"
 #include "testkit/fuzz.hpp"
 
@@ -77,7 +77,7 @@ TEST(ScheduleFuzz, SeededSweepIsCleanAndSeedsReplayDeterministically) {
   EXPECT_GT(rep.legs.size(), 1u);
   EXPECT_TRUE(rep.ok()) << rep.failures.front();
 
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const std::vector<real> ref = run_controlled(cfg, nullptr);
   const RunOutcome once = replay_seed(cfg, 0x5eed, ref);
   const RunOutcome twice = replay_seed(cfg, 0x5eed, ref);
   EXPECT_EQ(once.leg, twice.leg);
@@ -94,18 +94,23 @@ TEST(FaultInjection, LaunchBodyExceptionPropagatesOnceAndDeviceRecovers) {
   EXPECT_EQ(out.injected_throws, 1);
   EXPECT_TRUE(out.error_thrown);
   EXPECT_TRUE(out.single_error);
+  EXPECT_TRUE(out.record_complete);
   EXPECT_TRUE(out.device_reusable);
   EXPECT_TRUE(out.bodies_consistent);
   EXPECT_TRUE(out.ok()) << out.detail;
 }
 
 TEST(FaultInjection, TwoInjectedThrowsPropagateExactlyOneError) {
+  // Each injected throw propagates exactly once, out of the launch it hit;
+  // the launches between and after the two faults still run.
   FaultPlan plan;
   plan.throw_at = {2, 5};
   const FaultOutcome out = run_fault_plan(FuzzConfig{}, plan);
   EXPECT_EQ(out.injected_throws, 2);
-  EXPECT_TRUE(out.error_thrown); // first wins...
-  EXPECT_TRUE(out.single_error); // ...and it propagates exactly once
+  EXPECT_TRUE(out.error_thrown);
+  EXPECT_TRUE(out.single_error);
+  EXPECT_TRUE(out.record_complete);
+  EXPECT_TRUE(out.bodies_consistent);
   EXPECT_TRUE(out.ok()) << out.detail;
 }
 
@@ -132,15 +137,15 @@ TEST(FaultInjection, MixedThrowAndStallPlanUpholdsTheContract) {
 
 TEST(FaultInjection, StalledSimulationStepsStayBitIdentical) {
   // Stalls must only cost time: the step results remain bit-identical to
-  // the sync reference.
+  // the reference run.
   FuzzConfig cfg;
   cfg.steps = 4;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const std::vector<real> ref = run_controlled(cfg, nullptr);
   FaultPlan plan;
   plan.stall_at = {3, 7, 12};
   plan.stall_for = std::chrono::microseconds(1500);
   FaultController ctrl(plan);
-  const std::vector<real> state = run_controlled(cfg, true, &ctrl);
+  const std::vector<real> state = run_controlled(cfg, &ctrl);
   EXPECT_EQ(ctrl.injected_stalls(), 3);
   EXPECT_EQ(state, ref);
 }
@@ -160,7 +165,7 @@ TEST(FaultInjection, ArenaExhaustionFailsAllocationAndArenaRecovers) {
 }
 
 TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
-  Device dev(2, 1);
+  Device dev(2);
   Stream a("A");
   LaunchDesc desc;
   desc.label = "arena-fault";
@@ -174,14 +179,12 @@ TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
   };
   {
     ArenaFaultGuard guard(0);
-    (void)dev.launch(desc, alloc_body);
-    EXPECT_THROW(dev.synchronize(), std::bad_alloc);
+    EXPECT_THROW((void)dev.launch(desc, alloc_body), std::bad_alloc);
     EXPECT_TRUE(guard.fired());
   }
   // The failed grow left no partial chunk: the same launch now succeeds and
   // the device is fully reusable.
   (void)dev.launch(desc, alloc_body);
-  dev.synchronize();
 }
 
 TEST(FaultInjection, ListenersNeverSeeTornRecords) {
@@ -205,7 +208,7 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   plan.throw_at = {2};
   FaultController ctrl(plan);
   CollectingListener listener;
-  Device dev(2, 1);
+  Device dev(2);
   dev.sink().set_listener(&listener);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
@@ -213,10 +216,10 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   std::mutex mu;
   std::vector<int> order;
   const Event e1 = issue_tagged(dev, a, "a1", 1, order, mu);
-  const Event e2 = issue_tagged(dev, b, "b1", 2, order, mu);
+  EXPECT_THROW((void)issue_tagged(dev, b, "b1", 2, order, mu), InjectedFault);
+  const Event e2 = b.last(); // the faulted launch is still a DAG node
   (void)issue_tagged(dev, a, "a2", 3, order, mu, e2);
   (void)issue_tagged(dev, b, "b2", 4, order, mu, e1);
-  EXPECT_THROW(dev.synchronize(), InjectedFault);
   dev.set_schedule_controller(nullptr);
   dev.sink().set_listener(nullptr);
 
@@ -229,46 +232,30 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
 
 // --- controller installation ----------------------------------------------
 
-TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
-  // Event::wait() returns only once its launch's body ran, with a
-  // controller installed and a later launch still queued behind it.
-  FaultController ctrl(FaultPlan{});
-  Device dev(2, 1);
-  dev.set_schedule_controller(&ctrl);
-  Stream a("A");
-  std::mutex mu;
-  std::vector<int> order;
-  const Event e1 = issue_tagged(dev, a, "a1", 1, order, mu);
-  (void)issue_tagged(dev, a, "a2", 2, order, mu);
-  e1.wait();
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    ASSERT_FALSE(order.empty());
-    EXPECT_EQ(order.front(), 1);
-  }
-  dev.synchronize();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[1], 2);
-  dev.set_schedule_controller(nullptr);
-}
-
 TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
-  Device dev(2, 1);
+  // A launch body running on another host thread keeps the device busy:
+  // installing a controller then would race the hook that launch read.
+  Device dev(2);
   Stream a("A");
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   LaunchDesc desc;
   desc.label = "block";
   desc.items = 1;
   desc.stream = &a;
-  (void)dev.launch(desc, [&release](simt::OpCounts&) {
-    while (!release.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+  std::thread issuer([&] {
+    (void)dev.launch(desc, [&](simt::OpCounts&) {
+      started.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
   });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   FaultController ctrl(FaultPlan{});
   EXPECT_THROW(dev.set_schedule_controller(&ctrl), std::logic_error);
-  release.store(true, std::memory_order_relaxed);
-  dev.synchronize();
+  release.store(true, std::memory_order_release);
+  issuer.join();
   dev.set_schedule_controller(&ctrl); // idle now: accepted
   dev.set_schedule_controller(nullptr);
 }
@@ -277,9 +264,9 @@ TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
 
 TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
   // The schedule seam must cost nothing when unused: with no controller
-  // installed, steady-state async launches perform zero heap allocations
-  // (same discipline as the trace layer's zero-overhead guarantee).
-  Device dev(2, 1);
+  // installed, steady-state launches perform zero heap allocations (same
+  // discipline as the trace layer's zero-overhead guarantee).
+  Device dev(2);
   ASSERT_EQ(dev.schedule_controller(), nullptr);
   Stream a("A");
   Stream b("B");
@@ -295,9 +282,8 @@ TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
         n.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    dev.synchronize();
   };
-  for (int i = 0; i < 4; ++i) round(); // warm-up: nodes, interning
+  for (int i = 0; i < 4; ++i) round(); // warm-up: interning
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 8; ++i) round();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);

@@ -41,10 +41,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so the compiler never sees free() applied to a pointer it
+// attributes to the builtin operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace gothic::trace {
 namespace {
@@ -237,7 +243,7 @@ TEST(MetricsRegistry, PrintsPerKernelTable) {
 // --- record-name interning (satellite: dangling-pointer fix) ---------------
 
 TEST(Interning, RecordNamesSurviveTheirSources) {
-  runtime::Device dev(2, /*async=*/0);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   {
     std::string stream_name = "ephemeral";
@@ -271,7 +277,7 @@ TEST(Interning, DeduplicatesRepeatedNames) {
 TEST(ZeroOverhead, SteadyStateLaunchesDoNotAllocateWithoutListener) {
   ASSERT_EQ(std::getenv("GOTHIC_TRACE"), nullptr)
       << "test requires GOTHIC_TRACE unset";
-  runtime::Device dev(2, /*async=*/0);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   ASSERT_EQ(sink.listener(), nullptr);
   runtime::Stream s("steady");

@@ -390,7 +390,7 @@ TEST(WalkTree, SchedulesAreBitIdenticalAcrossWorkerCounts) {
   cfg.mac.type = MacType::OpeningAngle;
 
   auto run = [&](int workers, std::span<const std::uint8_t> active) {
-    runtime::Device dev(workers, /*async=*/0);
+    runtime::Device dev(workers);
     runtime::ScopedDevice scope(dev);
     ForceResult r;
     r.ax.assign(s.n(), real(0));

@@ -1,35 +1,35 @@
-// gothic_fuzz — seeded fuzzer and fault-injection driver for the async
-// launch engine (see DESIGN.md, "Testing & fault model").
+// gothic_fuzz — seeded fuzzer and fault-injection driver for the launch
+// engine and the step loop (see DESIGN.md, "Testing & fault model").
 //
 // Legs, each optional:
-//   --schedules=N   seeded sweep: N async runs of the step loop, each seed
+//   --schedules=N   seeded sweep: N runs of the step loop, each seed
 //                   selecting the SIMD substrate, each compared
-//                   bit-for-bit against the synchronous reference. A
-//                   failing run prints its 64-bit seed; that seed alone
+//                   bit-for-bit against the default-substrate reference.
+//                   A failing run prints its 64-bit seed; that seed alone
 //                   reproduces the exact run.
 //   --faults=N      N randomized fault plans (launch-body exceptions,
-//                   leader stalls) through a cross-stream DAG, asserting
-//                   the error contract: one first-wins error, device
-//                   reusable after.
-//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode and
-//                   SIMD substrate from the seed), each compared
-//                   bit-for-bit against the unsharded synchronous
-//                   reference.
+//                   launch stalls) through a cross-stream DAG, asserting
+//                   the error contract: each throw surfaces once, from
+//                   its own launch, with a complete record; the device
+//                   runs every later launch.
+//   --shards=N      N seeded sharded runs (K in {1,2,4} and SIMD
+//                   substrate from the seed), each compared bit-for-bit
+//                   against the unsharded reference.
 //   --shard-faults=N  N launch-body throws injected into one shard of a
-//                   sharded step (devices follow GOTHIC_ASYNC), asserting
-//                   the isolation contract: the fault surfaces from step()
-//                   and every shard device stays reusable.
+//                   sharded step, asserting the isolation contract: the
+//                   fault surfaces from step() and every shard device
+//                   stays reusable.
 //   --service=N     N seeded session-pool runs: each seed builds a
 //                   SessionManager (pool shape, mixed scenario batch and
 //                   fault family from the seed), injects launch throws /
-//                   leader stalls / arena OOM, and asserts the session
+//                   launch stalls / arena OOM, and asserts the session
 //                   isolation contract — every survivor bit-identical to
 //                   its solo run, every failure carried by one session.
 //   --scenarios=N   N seeded scenario runs: each seed hashes to a
 //                   scenario-registry entry (ICs + force law) and encodes
-//                   async mode, shard count and SIMD substrate in its
-//                   bits, compared bit-for-bit against that scenario's
-//                   synchronous reference.
+//                   shard count and SIMD substrate in its bits, compared
+//                   bit-for-bit against that scenario's unsharded
+//                   reference.
 //
 //   --replay=SEED   re-run one seeded run (accepts 0x... hex) and print
 //                   its configuration — the repro entry point.
@@ -95,7 +95,7 @@ int run(const gothic::Args& args) {
   bool ok = true;
 
   if (replay) {
-    const auto ref = gothic::testkit::run_controlled(cfg, false, nullptr);
+    const auto ref = gothic::testkit::run_controlled(cfg, nullptr);
     const auto out = gothic::testkit::replay_seed(cfg, replay_seed_value, ref);
     std::printf("replay %s: %s, %s\n", hex_seed(replay_seed_value).c_str(),
                 out.leg.c_str(),
